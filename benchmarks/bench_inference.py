@@ -20,13 +20,10 @@ the execution-plan runtime.  Three gates:
   CAMStats).  This is the headline speedup of the layer-wave refactor: the
   wave replaces ``images x tiles`` Python instruction loops with one batch
   of NumPy calls per instruction.
-* **Wave-native host dataflow** - the fused quantize/lower/stage host path
-  (``REPRO_HOST_DATAFLOW=wave``, the default) must spend >= 2x less host
-  time than the legacy per-image payload path on the same workload, with
-  byte-identical results.  Host time is measured from the ``host.*``
-  telemetry spans, so the gate isolates exactly the staging work the
-  wave-native refactor fuses; the ``host_s``/``device_s`` split lands in
-  ``BENCH_inference.json``.
+* **Host/device split** - the fused quantize/lower/stage host path is
+  timed from the ``host.*`` telemetry spans on the mega-kernel workload and
+  its ``host_s``/``device_s`` split lands in ``BENCH_inference.json``
+  (recorded, not gated).
 
 The full-width ResNet-18 run additionally records how long one real CIFAR-10
 sized image takes end to end on the batched backend - the "full models in
@@ -69,10 +66,6 @@ MEGA_WIDTH = 1 / 16
 MEGA_BATCH = 96
 #: Minimum vectorized/batched wall-clock ratio accepted by the wave gate.
 REQUIRED_MEGA_SPEEDUP = 10.0
-
-#: Minimum per-image/wave host-time ratio accepted by the host-dataflow
-#: gate (``host.*`` span time; the fused path skips per-image copies).
-REQUIRED_WAVE_HOST_SPEEDUP = 2.0
 
 #: Wall-clock budget for one full-width ResNet-18 image on the batched
 #: backend ("seconds, not hours").  The wave-native host dataflow moved
@@ -223,24 +216,18 @@ def _host_device_seconds(events):
         duration = event.dur_us or 0.0
         if event.name.startswith("host.") and event.name != "host.plan":
             host_us += duration
-            if event.name == "host.stage" and event.args.get("mode") in (
-                "wave-load",
-                "gather",
-            ):
+            if event.name == "host.stage" and event.args.get("mode") == "wave-load":
                 nested_host_us += duration
         elif event.name == "device.layer":
             device_us += duration
     return host_us / 1e6, (device_us - nested_host_us) / 1e6
 
 
-def test_wave_host_dataflow_speedup(ap_seed, save_report, monkeypatch):
-    """Fused wave staging must spend >= 2x less host time, byte-identically.
+def test_wave_host_device_split(ap_seed, save_report):
+    """Record the host staging vs device time of the mega-kernel workload.
 
-    Runs the mega-kernel workload twice on the ``batched`` backend: once with
-    the legacy per-image payload host path and once with the wave-native
-    fused quantize/lower/stage path.  Host time comes from the ``host.*``
-    telemetry spans of the measured (warm) run, so one-time plan/compile work
-    stays out of both sides of the ratio.
+    Host time comes from the ``host.*`` telemetry spans of the measured
+    (warm) run, so one-time plan/compile work stays out of it.
     """
     model = build_vgg9(
         num_classes=10,
@@ -252,56 +239,36 @@ def test_wave_host_dataflow_speedup(ap_seed, save_report, monkeypatch):
     rng = np.random.default_rng(ap_seed)
     batch = rng.uniform(0.0, 1.0, size=(MEGA_BATCH,) + INPUT_SHAPE)
 
-    results = {}
-    timings = {}
-    for mode in ("per-image", "wave"):
-        monkeypatch.setenv("REPRO_HOST_DATAFLOW", mode)
-        driver = BatchedInference(
-            model,
-            INPUT_SHAPE,
-            bits=4,
-            executor="serial",
-            backend="batched",
-            name="vgg9-narrow",
-        )
-        try:
-            driver.run(batch[:1])
-            tracer = telemetry.install()
-            tracer.drain()
-            try:
-                started = time.perf_counter()
-                results[mode] = driver.run(batch)
-                wall_s = time.perf_counter() - started
-                events = tracer.drain()
-            finally:
-                telemetry.uninstall()
-        finally:
-            driver.close()
-        host_s, device_s = _host_device_seconds(events)
-        timings[mode] = {"wall_s": wall_s, "host_s": host_s, "device_s": device_s}
-
-    assert np.array_equal(results["per-image"].logits, results["wave"].logits)
-    per_image_exec = results["per-image"].execution
-    wave_exec = results["wave"].execution
-    assert per_image_exec.total_stats == wave_exec.total_stats
-    assert per_image_exec.checksum == wave_exec.checksum
-
-    host_speedup = timings["per-image"]["host_s"] / max(
-        timings["wave"]["host_s"], 1e-9
+    driver = BatchedInference(
+        model,
+        INPUT_SHAPE,
+        bits=4,
+        executor="serial",
+        backend="batched",
+        name="vgg9-narrow",
     )
+    try:
+        driver.run(batch[:1])
+        tracer = telemetry.install()
+        tracer.drain()
+        try:
+            started = time.perf_counter()
+            result = driver.run(batch)
+            wall_s = time.perf_counter() - started
+            events = tracer.drain()
+        finally:
+            telemetry.uninstall()
+    finally:
+        driver.close()
+    host_s, device_s = _host_device_seconds(events)
+
+    reference = quantized_reference_forward(model, batch, bits=4)
+    assert np.array_equal(result.logits, reference)
+
     _SECTIONS.append(
         format_table(
-            ["host dataflow", "wall (s)", "host (s)", "device (s)", "host speedup"],
-            [
-                [
-                    mode,
-                    f"{timing['wall_s']:.2f}",
-                    f"{timing['host_s']:.3f}",
-                    f"{timing['device_s']:.2f}",
-                    f"{host_speedup:.2f}x" if mode == "wave" else "1.00x",
-                ]
-                for mode, timing in timings.items()
-            ],
+            ["host dataflow", "wall (s)", "host (s)", "device (s)"],
+            [["wave", f"{wall_s:.2f}", f"{host_s:.3f}", f"{device_s:.2f}"]],
             title=(
                 f"host dataflow: vgg9 topology at width x{MEGA_WIDTH:.4g}, "
                 f"{MEGA_BATCH} images, batched backend (host.* span time)"
@@ -309,24 +276,9 @@ def test_wave_host_dataflow_speedup(ap_seed, save_report, monkeypatch):
         )
     )
     _METRICS.update(
-        {
-            "host_s": timings["wave"]["host_s"],
-            "device_s": timings["wave"]["device_s"],
-            "wave_host_wall_s": timings["wave"]["wall_s"],
-            "perimage_host_s": timings["per-image"]["host_s"],
-            "perimage_device_s": timings["per-image"]["device_s"],
-            "perimage_host_wall_s": timings["per-image"]["wall_s"],
-            "wave_host_speedup": host_speedup,
-            "required_wave_host_speedup": REQUIRED_WAVE_HOST_SPEEDUP,
-        }
+        {"host_s": host_s, "device_s": device_s, "wave_host_wall_s": wall_s}
     )
     _save(save_report, ap_backend="batched", workers=1, model_width=MEGA_WIDTH)
-
-    assert host_speedup >= REQUIRED_WAVE_HOST_SPEEDUP, (
-        f"wave-native host dataflow is only {host_speedup:.2f}x faster than "
-        f"the per-image payload path "
-        f"(required: {REQUIRED_WAVE_HOST_SPEEDUP}x)"
-    )
 
 
 def test_resnet18_fullwidth_seconds(save_report):

@@ -16,13 +16,18 @@ Available backends:
 * ``vectorized`` - word-parallel x bit-parallel NumPy execution with
   analytic event accounting; typically an order of magnitude faster.
   The default.
-* ``batched`` - the vectorized semantics plus whole-layer *wave* execution
-  (:func:`repro.ap.backends.batched.execute_program_wave`): the inference
-  engine stacks every (image, row tile) instance of a layer into one bit
-  tensor and evaluates the shared instruction stream once - one batch of
-  NumPy calls per instruction for the whole layer.  The fastest choice for
+* ``batched`` - the vectorized semantics plus a native whole-layer *wave*
+  kernel (:func:`repro.ap.backends.batched.execute_program_wave`): every
+  (image, row tile) instance of a layer group is stacked into one bit
+  tensor and the shared instruction stream is evaluated once - one batch of
+  NumPy calls per instruction for the whole group.  The fastest choice for
   batched inference; per-instruction behaviour is identical to
   ``vectorized``.
+
+Whole layers reach every backend through one device contract,
+:meth:`ExecutionBackend.execute_wave` over host-staged
+:class:`StagedWaveInputs`; the inference engine dispatches it through
+:meth:`repro.runtime.executors.Executor.map_wave`.
 
 The default can be overridden with the ``REPRO_AP_BACKEND`` environment
 variable (CI uses ``REPRO_AP_BACKEND=reference`` to run the whole suite on
@@ -35,7 +40,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Type, Union
 
-from repro.ap.backends.base import ExecutionBackend
+from repro.ap.backends.base import ExecutionBackend, StagedWaveInputs, WaveResult
 from repro.ap.backends.batched import BatchedBackend, execute_program_wave
 from repro.ap.backends.reference import ReferenceBackend
 from repro.ap.backends.vectorized import VectorizedBackend, lut_truth_matrix
@@ -128,6 +133,8 @@ __all__ = [
     "VectorizedBackend",
     "BatchedBackend",
     "execute_program_wave",
+    "StagedWaveInputs",
+    "WaveResult",
     "BackendSpec",
     "DEFAULT_BACKEND",
     "available_backends",

@@ -18,21 +18,113 @@ Three backends ship with the library:
   and bit-parallel across positions, then charges the exact same events
   analytically from precomputed per-LUT truth tensors.
 * ``batched`` (:class:`~repro.ap.backends.batched.BatchedBackend`) - the
-  vectorized semantics plus a layer-level *wave* entry point
+  vectorized semantics plus a native *wave* kernel
   (:func:`~repro.ap.backends.batched.execute_program_wave`): all (image, row
   tile) instances of one layer are stacked into a single bit tensor and the
   shared instruction stream is evaluated once across the whole wave, with
   per-instance counters charged from one batched truth-tensor histogram.
+
+Whole layers reach a backend through one device contract,
+:meth:`ExecutionBackend.execute_wave`: one tile's programs run for every
+instance of a host-staged :class:`StagedWaveInputs` batch.  The default runs
+one fresh AP per instance; backends with ``supports_program_wave`` override
+it with a native kernel that must return byte-identical results.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import ClassVar, Tuple
+from typing import ClassVar, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.ap.isa import APInstruction, ColumnRegion
+import numpy as np
+
+from repro import telemetry
+from repro.ap.backends.packing import pack_planes
+from repro.ap.isa import APInstruction, APProgram, ColumnRegion
 from repro.cam.array import CAMArray
+from repro.cam.stats import CAMStats
 from repro.errors import CompilationError
+from repro.rtm.timing import RTMTechnology
+
+
+class StagedWaveInputs:
+    """Operand batches staged by the host for one wave group.
+
+    Exactly one of ``values``/``planes`` is given, each one entry per
+    program:
+
+    * ``values[j][name]`` - ``(instances, rows)`` integer batch: every
+      instance's operand rows as views (or one vectorized gather) of the
+      layer's staged operand tensor.
+    * ``planes[j][name]`` - ``(instances, rows, width)`` uint8 bit planes,
+      pre-unpacked once per layer (see
+      :func:`repro.ap.backends.packing.unpack_bits`): a native wave copies
+      planes straight into its stacked state tensor, skipping the per-load
+      unpack.  ``width`` must equal the load region's width (pre-flight via
+      :func:`~repro.ap.backends.batched.wave_staging_plan`).
+    """
+
+    __slots__ = ("instances", "rows", "values", "planes")
+
+    def __init__(
+        self,
+        instances: int,
+        rows: int,
+        values: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
+        planes: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
+    ) -> None:
+        if (values is None) == (planes is None):
+            raise ValueError("StagedWaveInputs takes exactly one of values/planes")
+        self.instances = instances
+        self.rows = rows
+        self.values = values
+        self.planes = planes
+
+    def __len__(self) -> int:
+        return self.instances
+
+    def slice(self, start: int, stop: int) -> "StagedWaveInputs":
+        """The instances ``start:stop`` as their own batch (views, no copy)."""
+
+        def cut(entries):
+            return [
+                {name: batch[start:stop] for name, batch in program.items()}
+                for program in entries
+            ]
+
+        if self.planes is not None:
+            return StagedWaveInputs(stop - start, self.rows, planes=cut(self.planes))
+        return StagedWaveInputs(stop - start, self.rows, values=cut(self.values))
+
+    def instance_inputs(self, program_index: int, instance: int) -> Dict[str, np.ndarray]:
+        """One instance's ``{name: row vector}`` operands for one program.
+
+        Plane batches are packed back to two's complement words, so both
+        forms feed :meth:`~repro.ap.core.AssociativeProcessor.run_program`
+        the same integers.
+        """
+        if self.planes is not None:
+            return {
+                name: pack_planes(batch[instance])
+                for name, batch in self.planes[program_index].items()
+            }
+        return {
+            name: batch[instance]
+            for name, batch in self.values[program_index].items()
+        }
+
+
+class WaveResult(NamedTuple):
+    """One instance's outcome of a wave.
+
+    ``outputs`` stacks every output vector as one ``(total outputs, rows)``
+    int64 matrix in (program order, names sorted within each program) order;
+    ``checksum`` folds all of them exactly (Python integers).
+    """
+
+    stats: CAMStats
+    checksum: int
+    outputs: np.ndarray
 
 
 class ExecutionBackend(abc.ABC):
@@ -50,10 +142,66 @@ class ExecutionBackend(abc.ABC):
         self.array = array
         self.carry_column = carry_column
 
+    #: Whether :meth:`execute_wave` is a native whole-wave kernel that runs
+    #: in the calling thread; per-instance backends are fanned out over the
+    #: executor's pool instead.
+    supports_program_wave: ClassVar[bool] = False
+
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def execute(self, instruction: APInstruction, active_rows: int) -> None:
         """Execute one instruction on the first ``active_rows`` rows."""
+
+    @classmethod
+    def execute_wave(
+        cls,
+        programs: Sequence[APProgram],
+        staged: StagedWaveInputs,
+        rows: int,
+        columns: int,
+        technology: Optional[RTMTechnology] = None,
+    ) -> List[WaveResult]:
+        """Run one tile's ``programs`` for every instance of a staged wave.
+
+        Every instance models a fresh ``rows x columns`` AP executing the
+        programs back to back on its own operands - the contract of one tile
+        dispatch.  This default does exactly that, one AP run (and one
+        ``device.tile`` span) per instance; out-of-range or malformed
+        operands raise the AP's own errors.  Returns one
+        :class:`WaveResult` per instance, in instance order.
+        """
+        from repro.ap.core import AssociativeProcessor
+
+        ap = AssociativeProcessor(
+            rows=rows, columns=columns, technology=technology, backend=cls
+        )
+        results: List[WaveResult] = []
+        for instance in range(staged.instances):
+            with telemetry.span(
+                "device.tile", category="device", backend=cls.name, instance=instance
+            ):
+                # A reset AP is indistinguishable from a fresh one (stored
+                # bits, ports and counters wiped), and reusing its buffers
+                # skips a state-tensor allocation per instance.
+                ap.array.reset()
+                vectors: List[np.ndarray] = []
+                for index, program in enumerate(programs):
+                    outputs = ap.run_program(
+                        program, staged.instance_inputs(index, instance), num_rows=rows
+                    )
+                    vectors.extend(
+                        np.asarray(outputs[name], dtype=np.int64)
+                        for name in sorted(outputs)
+                    )
+                stacked = (
+                    np.stack(vectors) if vectors else np.empty((0, rows), np.int64)
+                )
+            results.append(
+                WaveResult(
+                    ap.reset_stats(), sum(stacked.sum(axis=1).tolist()), stacked
+                )
+            )
+        return results
 
     # ------------------------------------------------------------------
     # Shared structural validation (identical across backends)

@@ -28,39 +28,37 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   (which spans only the first..last fired bit) is applied per instance under
   a fired mask.
 
-Operand input takes two forms.  The legacy form is one ``{name: row vector}``
-dict per (instance, program), gathered and validated per instance.  The
-wave-native form is :class:`StagedWaveInputs`: the host stages each operand
-as one ``(instances, rows)`` integer batch - or, on the packed fast path, as
-``(instances, rows, width)`` bit planes unpacked once per layer via
+Operands arrive host-staged as :class:`~repro.ap.backends.base.StagedWaveInputs`:
+each operand is one ``(instances, rows)`` integer batch - or, on the packed
+fast path, ``(instances, rows, width)`` bit planes unpacked once per layer via
 :mod:`repro.ap.backends.packing` - so loads slice views of one staged tensor
-instead of copying rows per instance, and the plane form skips the
-per-payload unpack entirely.  Both forms produce byte-identical results and
-counters.
+instead of copying rows per instance, and the plane form skips the per-load
+unpack entirely.  Both forms produce byte-identical results and counters.
 
-The wave entry point :func:`execute_program_wave` is conservative: any
-program shape the vectorized backend would route to its interpreter fallback
-(operands on the carry column, aliasing destinations, >60-bit words), or any
-malformed input batch, returns ``None`` so the caller can fall back to
-per-instance dispatch - where the ordinary backends raise the proper errors.
-:func:`wave_staging_plan` lets the host pre-flight (and pre-lower) a tile's
-programs at deploy time, so serving requests never pay the lowering cost and
-the host knows the operand widths to stage.
+The kernel :func:`execute_program_wave` is conservative: any program shape
+the vectorized backend would route to its interpreter fallback (operands on
+the carry column, aliasing destinations, >60-bit words), or any malformed
+input batch, declines (returns ``None``).
+:meth:`BatchedBackend.execute_wave` - the backend's side of the device
+contract - then falls back to the per-instance loop of
+:class:`~repro.ap.backends.base.ExecutionBackend`, where the ordinary
+semantics raise the proper errors.  :func:`wave_staging_plan` lets the host
+pre-flight (and pre-lower) a tile's programs at deploy time, so serving
+requests never pay the lowering cost and the host knows the operand widths
+to stage.
 
-:class:`BatchedBackend` itself subclasses the vectorized backend, so
+:class:`BatchedBackend` subclasses the vectorized backend, so
 ``backend="batched"`` behaves identically to ``"vectorized"`` for ordinary
-per-instruction execution (CLI, tests, ``REPRO_AP_BACKEND``); the class
-additionally advertises ``supports_program_wave`` which the inference engine
-uses to hand it whole layers via :meth:`Executor.map_layer
-<repro.runtime.executors.Executor.map_layer>`.
+per-instruction execution (CLI, tests, ``REPRO_AP_BACKEND``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ap.backends.base import StagedWaveInputs, WaveResult
 from repro.ap.backends.vectorized import (
     _MAX_VECTOR_WIDTH,
     VectorizedBackend,
@@ -124,10 +122,26 @@ class BatchedBackend(VectorizedBackend):
     """Vectorized per-instruction semantics plus whole-layer wave execution."""
 
     name = "batched"
-
-    #: The inference engine checks this flag before routing a layer's payload
-    #: wave to :func:`execute_program_wave` instead of per-tile dispatch.
     supports_program_wave = True
+
+    @classmethod
+    def execute_wave(
+        cls,
+        programs: Sequence[APProgram],
+        staged: StagedWaveInputs,
+        rows: int,
+        columns: int,
+        technology: Optional[RTMTechnology] = None,
+    ) -> List[WaveResult]:
+        """The mega-kernel; a declined wave runs per instance instead."""
+        results = execute_program_wave(
+            programs, staged, rows, columns, technology=technology
+        )
+        if results is None:
+            results = super().execute_wave(
+                programs, staged, rows, columns, technology
+            )
+        return results
 
 
 # ----------------------------------------------------------------------
@@ -212,14 +226,14 @@ class _ClearOp:
 class _CompiledWaveProgram:
     """One program lowered to wave descriptors (valid for a geometry).
 
-    ``reads_sorted``/``read_names`` fix the output slot order (names sorted
-    within the program) once at lowering time, and ``read_batch`` holds the
+    ``reads_sorted`` fixes the output slot order (names sorted within the
+    program) once at lowering time, and ``read_batch`` holds the
     fancy-index column gather for the common case where every output region
     shares one (offset, width) - so a whole program's outputs are packed with
     one matrix product instead of one readout call per name.
     """
 
-    __slots__ = ("loads", "ops", "reads", "reads_sorted", "read_names", "read_batch")
+    __slots__ = ("loads", "ops", "reads", "reads_sorted", "read_batch")
 
     def __init__(
         self,
@@ -231,7 +245,6 @@ class _CompiledWaveProgram:
         self.ops = ops
         self.reads = reads
         self.reads_sorted = tuple(sorted(reads, key=lambda entry: entry[0]))
-        self.read_names = tuple(name for name, _, _ in self.reads_sorted)
         self.read_batch = None
         if self.reads_sorted:
             first = self.reads_sorted[0][1]
@@ -423,49 +436,8 @@ def _compile_program_wave(
 
 
 # ----------------------------------------------------------------------
-# Host-staged operand batches (the wave-native input form)
+# Host staging pre-flight
 # ----------------------------------------------------------------------
-class StagedWaveInputs:
-    """Operand batches staged by the host for one wave group.
-
-    Exactly one of ``values``/``planes`` is given, each one entry per
-    program:
-
-    * ``values[j][name]`` - ``(instances, rows)`` integer batch: every
-      instance's operand rows as views (or one vectorized gather) of the
-      layer's staged operand tensor.
-    * ``planes[j][name]`` - ``(instances, rows, width)`` uint8 bit planes,
-      pre-unpacked once per layer (see
-      :func:`repro.ap.backends.packing.unpack_bits`): the wave's loads copy
-      planes straight into the stacked state tensor, skipping the
-      per-payload unpack.  ``width`` must equal the load region's width
-      (pre-flight via :func:`wave_staging_plan`).
-
-    Byte-identical to the legacy per-instance dict form by construction:
-    the staged arrays hold exactly the rows each instance's payload dict
-    would have carried.
-    """
-
-    __slots__ = ("instances", "rows", "values", "planes")
-
-    def __init__(
-        self,
-        instances: int,
-        rows: int,
-        values: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
-        planes: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
-    ) -> None:
-        if (values is None) == (planes is None):
-            raise ValueError("StagedWaveInputs takes exactly one of values/planes")
-        self.instances = instances
-        self.rows = rows
-        self.values = values
-        self.planes = planes
-
-    def __len__(self) -> int:
-        return self.instances
-
-
 def wave_staging_plan(
     programs: Sequence[APProgram],
     columns: int,
@@ -479,8 +451,8 @@ def wave_staging_plan(
     returns ``(load_widths, uniform_width)``: per program the operand name ->
     region width map the host must stage, plus the single shared width when
     every load agrees (the packed bit-plane fast path).  Returns ``None``
-    when any program would decline wave execution, so the caller can route
-    the layer to the legacy per-payload path up front.
+    when any program would decline wave execution, so the caller can stage
+    the layer for per-instance execution up front.
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
@@ -768,17 +740,6 @@ class _WaveEngine:
         )
 
 
-#: One instance's wave outcome: counters, per-program output dicts, checksum,
-#: and the same outputs stacked as one ``(total outputs, rows)`` int64 matrix
-#: (program order, names sorted within each program) for bulk reduction.
-WaveResult = Tuple[CAMStats, List[Dict[str, np.ndarray]], int, np.ndarray]
-
-#: Either input form accepted by :func:`execute_program_wave`.
-WaveInputs = Union[
-    Sequence[Sequence[Mapping[str, Sequence[int]]]], StagedWaveInputs
-]
-
-
 def _decline(reason: str, **detail: object) -> None:
     """Record one wave decline (debug log + trace instant) and return ``None``.
 
@@ -790,37 +751,14 @@ def _decline(reason: str, **detail: object) -> None:
     telemetry.instant("backend.wave_decline", category="device", reason=reason, **detail)
 
 
-def _gather_load(
-    name: str,
-    region: _Region,
-    program_index: int,
-    inputs_per_instance: Sequence[Sequence[Mapping[str, Sequence[int]]]],
-    rows: int,
-) -> Optional[np.ndarray]:
-    """Stack one input across instances; ``None`` if any vector is invalid."""
-    stacked = np.empty((len(inputs_per_instance), rows), dtype=np.int64)
-    for index, instance_inputs in enumerate(inputs_per_instance):
-        values = np.asarray(instance_inputs[program_index][name])
-        if values.shape != (rows,) or values.dtype.kind not in "iu":
-            return None
-        stacked[index] = values
-    if (
-        int(stacked.min(initial=0)) < min_signed_value(region.width)
-        or int(stacked.max(initial=0)) > max_signed_value(region.width)
-    ):
-        return None
-    return stacked
-
-
 def _validate_staged(
     compiled: Sequence[_CompiledWaveProgram], staged: StagedWaveInputs, rows: int
 ) -> bool:
     """Shape/range-check staged operand batches (once, before chunking).
 
-    The same acceptance decision the legacy per-instance gather makes: any
-    missing name, wrong shape/dtype or out-of-range value declines the wave,
-    so the caller falls back to per-instance dispatch where the ordinary
-    backends raise their proper errors.
+    Any missing name, wrong shape/dtype or out-of-range value declines the
+    wave, so the backend falls back to per-instance execution where the
+    ordinary semantics raise their proper errors.
     """
     entries = staged.planes if staged.planes is not None else staged.values
     if len(entries) != len(compiled):
@@ -856,7 +794,7 @@ def _validate_staged(
 
 def execute_program_wave(
     programs: Sequence[APProgram],
-    inputs_per_instance: WaveInputs,
+    staged: StagedWaveInputs,
     rows: int,
     columns: int,
     technology: Optional[RTMTechnology] = None,
@@ -865,28 +803,22 @@ def execute_program_wave(
     """Execute one tile's program sequence for many instances at once.
 
     Every instance models a fresh ``rows x columns`` AP running ``programs``
-    back to back on its own input set (the exact contract of a pooled or
-    fresh-worker AP executing one tile).  ``inputs_per_instance`` is either
-    the legacy one-dict-per-(instance, program) form or a host-staged
-    :class:`StagedWaveInputs` batch.  Returns one ``(CAMStats, outputs,
-    checksum)`` triple per instance - byte-identical to running each instance
-    alone on any registered backend - or ``None`` when the wave cannot take
-    the batched path (unsupported instruction shapes, geometry, or malformed
-    inputs), in which case the caller must fall back to per-instance dispatch.
+    back to back on its own staged operands (the exact contract of a fresh
+    AP executing one tile).  Returns one :class:`WaveResult` per instance -
+    byte-identical to running each instance alone on any registered backend
+    - or ``None`` when the wave cannot take the batched path (unsupported
+    instruction shapes, geometry, or malformed inputs).
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
-    staged = isinstance(inputs_per_instance, StagedWaveInputs)
-    total = (
-        inputs_per_instance.instances if staged else len(inputs_per_instance)
-    )
+    total = staged.instances
     if total == 0:
         return []
     if rows < 1 or columns < 1:
         _decline("geometry", rows=rows, columns=columns)
         return None
-    if staged and inputs_per_instance.rows != rows:
-        _decline("geometry", rows=rows, staged_rows=inputs_per_instance.rows)
+    if staged.rows != rows:
+        _decline("geometry", rows=rows, staged_rows=staged.rows)
         return None
 
     compiled: List[_CompiledWaveProgram] = []
@@ -903,19 +835,8 @@ def execute_program_wave(
             _decline("program-lowering", columns=columns, domains=domains)
             return None
         compiled.append(lowered)
-    if staged:
-        if not _validate_staged(compiled, inputs_per_instance, rows):
-            return None
-    else:
-        if any(len(instance) != len(programs) for instance in inputs_per_instance):
-            _decline("malformed-inputs", programs=len(programs))
-            return None
-        for program_index, lowered in enumerate(compiled):
-            for instance_inputs in inputs_per_instance:
-                provided = instance_inputs[program_index]
-                if any(name not in provided for name, _ in lowered.loads):
-                    _decline("missing-input", program=program_index)
-                    return None
+    if not _validate_staged(compiled, staged, rows):
+        return None
 
     # Chunk the wave so the stacked bit tensor and the per-instance output
     # matrix stay bounded; instances are independent, so chunked and
@@ -933,71 +854,48 @@ def execute_program_wave(
         columns=columns,
     ):
         for start in range(0, total, chunk):
-            if staged:
-                instances = (inputs_per_instance, start, min(start + chunk, total))
-            else:
-                instances = inputs_per_instance[start : start + chunk]
-            chunk_results = _execute_wave_chunk(
-                compiled, instances, rows, columns, domains, carry_column
+            results.extend(
+                _execute_wave_chunk(
+                    compiled,
+                    staged.slice(start, min(start + chunk, total)),
+                    rows,
+                    columns,
+                    domains,
+                    carry_column,
+                )
             )
-            if chunk_results is None:
-                return None
-            results.extend(chunk_results)
     return results
 
 
 def _execute_wave_chunk(
     compiled: Sequence[_CompiledWaveProgram],
-    inputs_per_instance,
+    staged: StagedWaveInputs,
     rows: int,
     columns: int,
     domains: int,
     carry_column: int,
-) -> Optional[List[WaveResult]]:
-    staged = isinstance(inputs_per_instance, tuple)
-    if staged:
-        staged_inputs, chunk_start, chunk_stop = inputs_per_instance
-        instances = chunk_stop - chunk_start
-    else:
-        instances = len(inputs_per_instance)
+) -> List[WaveResult]:
+    instances = staged.instances
     engine = _WaveEngine(instances, rows, columns, domains, carry_column)
     total_outputs = sum(len(lowered.reads) for lowered in compiled)
     # All instances' outputs in one matrix: slot order is (program order,
     # names sorted within each program), so ``stacked[instance]`` is exactly
-    # the per-payload partial-sum matrix the inference reduction consumes.
+    # the per-tile partial-sum matrix the inference reduction consumes.
     stacked = np.empty((instances, total_outputs, rows), dtype=np.int64)
     slot = 0
     for program_index, lowered in enumerate(compiled):
-        # Loading operands into the wave state is host work (the payload
-        # fan-out), not CAM arithmetic: charge it to the ``host.stage``
-        # ledger so the host/device split prices the staged-view path
-        # against the legacy per-instance gather honestly.
-        if staged:
-            with telemetry.span("host.stage", category="host", mode="wave-load"):
-                if staged_inputs.planes is not None:
-                    provided = staged_inputs.planes[program_index]
-                    for name, region in lowered.loads:
-                        engine.load_planes(
-                            region, provided[name][chunk_start:chunk_stop]
-                        )
-                else:
-                    provided = staged_inputs.values[program_index]
-                    for name, region in lowered.loads:
-                        engine.load(
-                            region, provided[name][chunk_start:chunk_stop]
-                        )
-        else:
-            with telemetry.span("host.stage", category="host", mode="gather"):
+        # Loading operands into the wave state is host work (staging), not
+        # CAM arithmetic: charge it to the ``host.stage`` ledger so the
+        # host/device split stays honest.
+        with telemetry.span("host.stage", category="host", mode="wave-load"):
+            if staged.planes is not None:
+                provided = staged.planes[program_index]
                 for name, region in lowered.loads:
-                    gathered = _gather_load(
-                        name, region, program_index, inputs_per_instance, rows
-                    )
-                    if gathered is None:
-                        _decline(
-                            "invalid-input", name=name, program=program_index
-                        )
-                        return None
-                    engine.load(region, gathered)
+                    engine.load_planes(region, provided[name])
+            else:
+                provided = staged.values[program_index]
+                for name, region in lowered.loads:
+                    engine.load(region, provided[name])
         for op in lowered.ops:
             engine.run_op(op)
         read_batch = lowered.read_batch
@@ -1025,22 +923,9 @@ def _execute_wave_chunk(
                     stacked[:, slot] = values
                 slot += 1
     # int64 addition is associative modulo 2**64, so the batched row sums
-    # equal each instance's own ``values.sum()`` bit for bit.
+    # equal each instance's own per-vector sums bit for bit.
     totals = stacked.sum(axis=2).tolist()  # Python ints: exact checksum fold
-    results: List[WaveResult] = []
-    for instance in range(instances):
-        instance_rows = stacked[instance]
-        instance_totals = totals[instance]
-        outputs_list: List[Dict[str, np.ndarray]] = []
-        checksum = 0
-        position = 0
-        for lowered in compiled:
-            names = lowered.read_names
-            end = position + len(names)
-            checksum += sum(instance_totals[position:end])
-            outputs_list.append(dict(zip(names, instance_rows[position:end])))
-            position = end
-        results.append(
-            (engine.stats_for(instance), outputs_list, checksum, instance_rows)
-        )
-    return results
+    return [
+        WaveResult(engine.stats_for(instance), sum(totals[instance]), stacked[instance])
+        for instance in range(instances)
+    ]

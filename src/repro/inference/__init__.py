@@ -9,16 +9,18 @@ of the runtime of :mod:`repro.runtime`:
 2. :class:`~repro.inference.activations.ActivationStore` quantizes every
    layer's input with per-image LSQ calibration and lowers it (im2col) to the
    AP row operands of the layer's tile programs.
-3. :class:`~repro.inference.engine.BatchedInference` fans each layer's
-   ``(image, tile)`` work items over the runtime's executors, reduces the
-   exact integer partial sums order-independently, and meters CAM counters
-   plus interconnect traffic through the accelerator's ledgers.
+3. :class:`~repro.inference.engine.BatchedInference` stages each layer's
+   ``(image, tile)`` instances as wave groups, runs every group through the
+   one device contract (``Executor.map_wave`` -> the backend's
+   ``execute_wave``), reduces the exact integer partial sums
+   order-independently, and meters CAM counters plus interconnect traffic
+   through the accelerator's ledgers.
 4. :func:`~repro.inference.reference.quantized_reference_forward` is the
    pure-NumPy ground truth the AP logits must match byte for byte.
 
-The one-call entry point is :func:`~repro.inference.engine.run_inference`
-(also exported from :mod:`repro`); ``python -m repro infer`` wraps it on the
-command line.
+The entry point is :class:`repro.session.Session`, which compiles and
+deploys once and then serves ``infer()`` requests on this engine;
+``python -m repro infer`` wraps it on the command line.
 """
 
 from repro.inference.activations import (
@@ -36,8 +38,6 @@ from repro.inference.dataflow import (
 from repro.inference.engine import (
     BatchedInference,
     InferenceResult,
-    InferenceTileResult,
-    run_inference,
 )
 from repro.inference.reference import quantized_reference_forward
 
@@ -52,7 +52,5 @@ __all__ = [
     "patch_weight_layers",
     "BatchedInference",
     "InferenceResult",
-    "InferenceTileResult",
-    "run_inference",
     "quantized_reference_forward",
 ]

@@ -21,9 +21,9 @@ the per-layer buffers:
 * :func:`lower_batch_planes` is the wave-native composition of the two hot
   host passes: the whole batch's codes are unpacked to CAM bit planes once
   (:func:`repro.ap.backends.packing.unpack_bits`) and im2col-lowered in the
-  packed form, so the ``(images x tiles)`` payload fan-out slices *views* of
-  one staged plane tensor and the batched backend's loads skip the
-  per-payload unpack entirely.
+  packed form, so every ``(image, tile)`` instance of a wave group slices
+  *views* of one staged plane tensor and the batched backend's loads skip
+  the per-load unpack entirely.
 * :class:`HostArena` keeps those staging buffers alive across layers (and
   runs) so the steady-state host dataflow allocates nothing per layer.
 * :class:`ActivationStore` owns the per-layer activation buffers of a
@@ -140,7 +140,7 @@ def lower_input_rows(
     Returns:
         Array of shape ``(Cin, Fh*Fw, Hout*Wout)``: for every input channel,
         the patch element ``x{k}`` of every output position - the last axis
-        is the CAM row dimension (sliced per row tile by the engine).
+        is the CAM row dimension (sliced per row tile).
     """
     codes = np.asarray(codes)
     if codes.ndim == 1:
@@ -232,7 +232,7 @@ def lower_batch_planes(
     ``lower_batch_rows(codes)[n, c, k, p]`` would write (zero padding
     unpacks to zero planes, and im2col only copies values, so unpack and
     lowering commute bit for bit).  Downstream, every ``(image, tile)``
-    payload slices views of this one tensor and
+    instance slices views of this one tensor and
     :func:`~repro.ap.backends.batched.execute_program_wave` copies the
     planes directly into the stacked CAM state - no per-payload gather, no
     per-load unpack.

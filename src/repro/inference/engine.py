@@ -6,60 +6,56 @@ to AP row operands (:mod:`repro.inference.activations`), executed as the
 layer's :class:`~repro.runtime.plan.TileProgram` streams on the runtime's
 pluggable executors, and reduced into exact integer partial sums whose order
 independence makes ``serial``, ``parallel`` and ``thread`` execution - and
-the ``reference`` and ``vectorized`` backends - byte-identical.  The host
-executes the model's interstitial operators (batch norm, ReLU, pooling,
-residual adds) between layers, so the logits of the AP dataflow must match
-the pure-NumPy quantized reference
+every backend - byte-identical.  The host executes the model's interstitial
+operators (batch norm, ReLU, pooling, residual adds) between layers, so the
+logits of the AP dataflow must match the pure-NumPy quantized reference
 (:func:`repro.inference.reference.quantized_reference_forward`) exactly.
 
-Work granularity is ``(image, tile program)``, dispatched under one of two
-disciplines:
+Every layer takes one dispatch path.  At construction the layer's tiles are
+grouped into *wave groups* (tiles sharing compiled programs, rows and input
+channels).  Per request the layer's codes are lowered once and each group's
+``(image, tile)`` instances are staged as slices of that one tensor
+(:class:`~repro.ap.backends.base.StagedWaveInputs`); the executor's
+:meth:`~repro.runtime.executors.Executor.map_wave` runs the group through the
+backend's ``execute_wave`` contract, and the partial sums are reduced in
+(image, tile) order.  Two disciplines call that routine:
 
-* **layer-synchronous** (``pipeline=False``): a batch fans out every image's
-  tiles of the current layer to the executor in one order-preserving map,
-  then a barrier, then the next layer - the host does all inter-layer work
-  serially while the pool idles.
+* **layer-synchronous** (``pipeline=False``): the whole (micro-)batch goes
+  through layer L, then a barrier, then layer L+1.
 * **pipelined** (``pipeline=True``): every image runs its own forward on a
-  driver thread and each ``(image, layer, tile)`` work item dispatches the
-  moment its input activations exist (no barriers anywhere) - layer L+1 of
-  image i-1 streams through its own weight-resident AP group while layer L
-  of image i is still in flight, and the host interstitial operators overlap
-  with AP execution.  Per-AP-group occupancy is tracked by an
+  driver thread and dispatches each layer on its own one-image codes the
+  moment its input activations exist - layer L+1 of image i-1 streams
+  through its own weight-resident AP group while layer L of image i is still
+  in flight.  Per-AP-group occupancy is tracked by an
   :class:`~repro.runtime.pipeline.InFlightTracker`.
 
 Per-image activation streams are quantized with per-image calibration and
-every reduction is rebuilt in (image, tile) order at aggregation time, so
-batched, micro-batched, one-by-one, layer-synchronous and pipelined
-execution all produce byte-identical logits and counters.
+every aggregation is rebuilt in (image, tile) order, so batched,
+micro-batched, one-by-one, layer-synchronous and pipelined execution all
+produce byte-identical logits and counters.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.ap.backends import resolve_backend
-from repro.ap.backends.batched import (
-    StagedWaveInputs,
-    execute_program_wave,
-    wave_staging_plan,
-)
-from repro.ap.core import AssociativeProcessor
+from repro.ap.backends.base import StagedWaveInputs, WaveResult
+from repro.ap.backends.batched import execute_program_wave, wave_staging_plan
 from repro.arch.accelerator import Accelerator
 from repro.cam.stats import CAMStats
 from repro.core.compiler import CompilerConfig, compile_model
 from repro.errors import (
     CapacityError,
-    ConfigurationError,
     ModelDefinitionError,
     SimulationError,
 )
@@ -69,7 +65,6 @@ from repro.inference.activations import (
     dequantize_batch,
     lower_batch_planes,
     lower_batch_rows,
-    lower_input_rows,
     normalize_images,
 )
 from repro.inference.dataflow import (
@@ -79,7 +74,7 @@ from repro.inference.dataflow import (
 )
 from repro.nn.layers import Module
 from repro.nn.stats import model_layer_specs
-from repro.runtime.executors import ExecutorSpec, make_lease, resolve_executor
+from repro.runtime.executors import ExecutorSpec, resolve_executor
 from repro.runtime.pipeline import InFlightTracker
 from repro.runtime.plan import build_execution_plan
 from repro.runtime.scheduler import (
@@ -90,138 +85,14 @@ from repro.runtime.scheduler import (
 )
 from repro.utils.bitops import max_signed_value, min_signed_value
 
-#: ``REPRO_HOST_DATAFLOW`` selects the layer-synchronous host staging
-#: discipline: ``wave`` (default) stages each layer's operands as views of
-#: one lowered tensor and calls the batched wave directly; ``per-image``
-#: forces the legacy per-(image, tile) payload build (the benchmark's A/B
-#: baseline).  Results are byte-identical either way.
-_HOST_DATAFLOW_ENV = "REPRO_HOST_DATAFLOW"
-
-
-@dataclass(frozen=True)
-class InferenceTileResult:
-    """Outcome of one (image, tile program) work item."""
-
-    image_index: int
-    address: tuple
-    stats: CAMStats
-    #: One ``{output name: integer partial-sum vector}`` dict per slice
-    #: program of the tile (real data, unlike the synthetic-path checksums).
-    outputs: Tuple[Dict[str, np.ndarray], ...]
-    checksum: int
-    duration_s: float
-    #: Optional bulk view of ``outputs``: all partial-sum vectors stacked as
-    #: one ``(total outputs, rows)`` matrix in (program order, sorted-name)
-    #: order.  Provided by the wave path so the layer reduction can add the
-    #: whole payload in one indexed operation instead of per-name loops.
-    stacked_outputs: Optional[np.ndarray] = None
-
-
-def _inference_tile_worker(payload, ap=None) -> InferenceTileResult:
-    """Execute one tile program on one image's real activations.
-
-    Module-level so process pools can pickle the call; ``ap`` is a pre-leased
-    pooled AP when the serial path runs in-process (byte-identical to the
-    fresh AP a pool worker builds, per the lease contract).
-    """
-    tile, image_index, columns, backend, technology, inputs_list = payload
-    start = time.perf_counter()
-    with telemetry.span(
-        "device.tile",
-        category="device",
-        layer=tile.layer_index,
-        image=image_index,
-        ap=str(tuple(tile.address)),
-        backend=str(backend),
-    ):
-        if ap is None:
-            ap = AssociativeProcessor(
-                rows=tile.rows, columns=columns, technology=technology, backend=backend
-            )
-        outputs_list = []
-        checksum = 0
-        for program, inputs in zip(tile.programs, inputs_list):
-            outputs = ap.run_program(program, inputs, num_rows=tile.rows)
-            converted: Dict[str, np.ndarray] = {}
-            for name in sorted(outputs):
-                values = np.asarray(outputs[name], dtype=np.int64)
-                checksum += int(values.sum())
-                converted[name] = values
-            outputs_list.append(converted)
-    return InferenceTileResult(
-        image_index=image_index,
-        address=tuple(tile.address),
-        stats=ap.reset_stats(),
-        outputs=tuple(outputs_list),
-        checksum=checksum,
-        duration_s=time.perf_counter() - start,
-    )
-
-
-def _inference_layer_wave(payloads) -> Optional[List[InferenceTileResult]]:
-    """Execute one layer's (image, tile) payloads as mega-kernel waves.
-
-    The wave counterpart of mapping :func:`_inference_tile_worker` over the
-    payloads: instances sharing one tile's compiled slice programs (every
-    image times every row tile of a channel group) are stacked and handed to
-    :func:`~repro.ap.backends.batched.execute_program_wave` in one call.
-    Returns ``None`` - so callers fall back to per-payload dispatch - when
-    the selected backend has no wave support or any group's programs or
-    inputs need the per-instance path (where the ordinary backends raise
-    their proper errors).  Results are byte-identical to per-tile execution:
-    same outputs, checksums and :class:`~repro.cam.stats.CAMStats`.
-    """
-    if not payloads:
-        return []
-    try:
-        backend_class = resolve_backend(payloads[0][3])
-    except ConfigurationError:
-        return None
-    if not getattr(backend_class, "supports_program_wave", False):
-        return None
-    groups: Dict[tuple, List[int]] = {}
-    for index, payload in enumerate(payloads):
-        tile = payload[0]
-        key = (tuple(id(program) for program in tile.programs), tile.rows)
-        groups.setdefault(key, []).append(index)
-    results: List[Optional[InferenceTileResult]] = [None] * len(payloads)
-    for indices in groups.values():
-        tile, _, columns, _, technology, _ = payloads[indices[0]]
-        start = time.perf_counter()
-        wave = execute_program_wave(
-            tile.programs,
-            [payloads[index][5] for index in indices],
-            rows=tile.rows,
-            columns=columns,
-            technology=technology,
-        )
-        if wave is None:
-            return None
-        # The wave executes all instances at once; attribute the group's
-        # wall-clock evenly (duration_s is informational, never aggregated).
-        duration = (time.perf_counter() - start) / len(indices)
-        for index, (stats, outputs_list, checksum, stacked) in zip(indices, wave):
-            payload = payloads[index]
-            results[index] = InferenceTileResult(
-                image_index=payload[1],
-                address=tuple(payload[0].address),
-                stats=stats,
-                outputs=tuple(outputs_list),
-                checksum=checksum,
-                duration_s=duration,
-                stacked_outputs=stacked,
-            )
-    return results
-
 
 class _WaveGroup:
     """One layer's tiles that share compiled programs, rows and channels.
 
-    The wave unit of the staged host path: all ``(image, tile)`` instances of
-    the group execute as one :func:`execute_program_wave` call, with operands
-    staged as slices of the layer's one lowered tensor.  Instance order is
-    image-major, tile-minor - exactly the payload order of the legacy path,
-    so results scatter back by ``image * tiles + tile_index``.
+    The wave unit of the host dataflow: all ``(image, tile)`` instances of
+    the group execute as one ``map_wave`` call, with operands staged as
+    slices of the layer's one lowered tensor.  Instance order is image-major,
+    tile-minor, so results scatter back by ``image * tiles + tile_index``.
     """
 
     __slots__ = (
@@ -239,7 +110,8 @@ class _WaveGroup:
         self.rows = rows
         self.bindings = bindings
         #: Per program: operand name -> load region width (plane staging
-        #: slices each name's first ``width`` planes of the shared unpack).
+        #: slices each name's first ``width`` planes of the shared unpack);
+        #: ``None`` when the group has no wave pre-flight.
         self.load_widths = load_widths
         self.tile_indices: List[int] = []
         self.starts: List[int] = []
@@ -250,18 +122,16 @@ class _WaveGroup:
 class _NodePlan:
     """Per-layer host dataflow plan, built once per engine.
 
-    ``tile_specs`` is the image-invariant parse of every tile (row slice,
-    input bindings, static reduction layout) both host paths share.
-    ``groups`` is the wave grouping of those tiles - ``None`` when the
-    backend has no wave support or any program declines wave lowering, in
-    which case the layer always takes the legacy per-payload path.
-    ``plane_width`` is the widest operand load of the layer: the packed fast
-    path unpacks the layer's codes to that many bit planes once, and every
-    load slices its own first ``width`` planes (two's complement unpacking
-    is per-bit, so a prefix of a wider unpack IS the narrower unpack).
-    ``min_width`` is the narrowest load width - codes outside its signed
-    range cannot be staged (the legacy path then raises the proper range
-    errors).
+    ``tile_specs`` is the image-invariant parse of every tile (row slice and
+    static reduction layout); ``groups`` is the wave grouping of those tiles.
+    ``plane_width`` is the widest operand load of the layer when every
+    program passed the native wave pre-flight (``None`` otherwise): the
+    packed fast path unpacks the layer's codes to that many bit planes once,
+    and every load slices its own first ``width`` planes (two's complement
+    unpacking is per-bit, so a prefix of a wider unpack IS the narrower
+    unpack).  ``min_width`` is the narrowest load width - codes outside its
+    signed range are staged as values instead, so the backend's per-instance
+    fallback raises the proper range errors.
     """
 
     __slots__ = ("tile_specs", "groups", "plane_width", "min_width")
@@ -273,24 +143,25 @@ class _NodePlan:
         self.min_width = min_width
 
 
-def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
-    """Parse one layer's tiles and (when possible) its wave grouping.
+def _plan_node(node, columns: int, technology, native_wave: bool) -> _NodePlan:
+    """Parse one layer's tiles and group them into waves.
 
-    Calling :func:`wave_staging_plan` here - at engine construction - also
-    pre-lowers every program for the wave geometry, moving the whole
-    compile-to-wave cost out of the first request's critical path.
+    For native-wave backends this also calls :func:`wave_staging_plan` - at
+    engine construction - which pre-lowers every program for the wave
+    geometry, moving the whole compile-to-wave cost out of the first
+    request's critical path.
     """
     rows_per_ap = node.mapping.rows_per_ap
     tile_specs = []
-    for tile in node.planned.tiles:
+    groups: List[_WaveGroup] = []
+    by_key: Dict[tuple, _WaveGroup] = {}
+    widths_seen: set = set()
+    preflighted = native_wave
+    for index, tile in enumerate(node.planned.tiles):
         start = tile.row_tile * rows_per_ap
         row_slice = slice(start, start + tile.rows)
-        bindings = [
-            (channel, [(name, int(name[1:])) for name in program.input_columns])
-            for channel, program in zip(tile.channel_indices, tile.programs)
-        ]
         # Static reduction layout: each program emits its outputs in
-        # sorted-name order, so the output channels per payload are known
+        # sorted-name order, so the output channels per tile are known
         # before execution and the partial sums can be added in bulk.
         names_seq = [
             tuple(sorted(program.output_columns)) for program in tile.programs
@@ -300,14 +171,8 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
             dtype=np.intp,
         )
         uniform = len(set(names_seq)) <= 1
-        tile_specs.append((tile, row_slice, bindings, names_seq, channels, uniform))
+        tile_specs.append((tile, row_slice, names_seq, channels, uniform))
 
-    if not wave_capable:
-        return _NodePlan(tile_specs, None, None, None)
-    groups: Optional[List[_WaveGroup]] = []
-    by_key: Dict[tuple, _WaveGroup] = {}
-    widths_seen: set = set()
-    for index, (tile, row_slice, bindings, _, _, _) in enumerate(tile_specs):
         key = (
             tuple(id(program) for program in tile.programs),
             tile.rows,
@@ -315,20 +180,28 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
         )
         group = by_key.get(key)
         if group is None:
-            staging = wave_staging_plan(tile.programs, columns, technology=technology)
-            if staging is None:
-                groups = None
-                break
-            load_widths, _ = staging
-            for widths in load_widths:
-                widths_seen.update(widths.values())
+            load_widths = None
+            if preflighted:
+                staging = wave_staging_plan(
+                    tile.programs, columns, technology=technology
+                )
+                if staging is None:
+                    preflighted = False
+                else:
+                    load_widths = staging[0]
+                    for widths in load_widths:
+                        widths_seen.update(widths.values())
+            bindings = [
+                (channel, [(name, int(name[1:])) for name in program.input_columns])
+                for channel, program in zip(tile.channel_indices, tile.programs)
+            ]
             group = by_key[key] = _WaveGroup(tile, tile.rows, bindings, load_widths)
             groups.append(group)
         group.tile_indices.append(index)
         group.starts.append(row_slice.start)
     plane_width = None
     min_width = None
-    if groups is not None and widths_seen:
+    if preflighted and widths_seen:
         min_width = min(widths_seen)
         plane_width = max(widths_seen)
     return _NodePlan(tile_specs, groups, plane_width, min_width)
@@ -338,45 +211,48 @@ def _stage_group(
     group: _WaveGroup,
     lowered: np.ndarray,
     num_images: int,
-    plane_width: Optional[int],
+    planes: bool,
 ) -> StagedWaveInputs:
     """Stage one wave group's operands as slices of the lowered tensor.
 
     Single-tile groups (the common shape of weight-resident plans) stage
     pure views - zero copies between the layer's one lowering pass and the
     CAM load.  Multi-tile groups gather all tiles' row windows in one fancy
-    index per operand (one copy per operand name, never per payload).
+    index per operand (one copy per operand name, never per instance).
     """
     tiles = len(group.tile_indices)
     rows = group.rows
     instances = num_images * tiles
     if tiles == 1:
         window = slice(group.starts[0], group.starts[0] + rows)
-        if plane_width is None:
+        if not planes:
             values = [
                 {name: lowered[:, channel, k, window] for name, k in names}
                 for channel, names in group.bindings
             ]
             return StagedWaveInputs(instances, rows, values=values)
-        planes = [
-            {
-                # Each load takes the first ``width`` planes of the shared
-                # unpack (a prefix of a wider two's complement unpack IS the
-                # narrower unpack, bit for bit).
-                name: lowered[:, channel, : widths[name], k, window].transpose(
-                    0, 2, 1
-                )
-                for name, k in names
-            }
-            for (channel, names), widths in zip(group.bindings, group.load_widths)
-        ]
-        return StagedWaveInputs(instances, rows, planes=planes)
+        return StagedWaveInputs(
+            instances,
+            rows,
+            planes=[
+                {
+                    # Each load takes the first ``width`` planes of the shared
+                    # unpack (a prefix of a wider two's complement unpack IS
+                    # the narrower unpack, bit for bit).
+                    name: lowered[:, channel, : widths[name], k, window].transpose(
+                        0, 2, 1
+                    )
+                    for name, k in names
+                }
+                for (channel, names), widths in zip(group.bindings, group.load_widths)
+            ],
+        )
     rows_idx = group.rows_idx
     if rows_idx is None:
         rows_idx = group.rows_idx = np.asarray(group.starts, dtype=np.intp)[
             :, None
         ] + np.arange(rows, dtype=np.intp)
-    if plane_width is None:
+    if not planes:
         values = [
             {
                 name: lowered[:, channel, k, rows_idx].reshape(instances, rows)
@@ -385,20 +261,23 @@ def _stage_group(
             for channel, names in group.bindings
         ]
         return StagedWaveInputs(instances, rows, values=values)
-    planes = [
-        {
-            # Two indexing steps: mixing the scalar channel/k indices with
-            # the row-gather array would make them advanced indices too and
-            # scramble the axis order.  (N, width, tiles, rows) gather ->
-            # (instances, rows, width).
-            name: lowered[:, channel, : widths[name], k][:, :, rows_idx]
-            .transpose(0, 2, 3, 1)
-            .reshape(instances, rows, widths[name])
-            for name, k in names
-        }
-        for (channel, names), widths in zip(group.bindings, group.load_widths)
-    ]
-    return StagedWaveInputs(instances, rows, planes=planes)
+    return StagedWaveInputs(
+        instances,
+        rows,
+        planes=[
+            {
+                # Two indexing steps: mixing the scalar channel/k indices with
+                # the row-gather array would make them advanced indices too
+                # and scramble the axis order.  (N, width, tiles, rows)
+                # gather -> (instances, rows, width).
+                name: lowered[:, channel, : widths[name], k][:, :, rows_idx]
+                .transpose(0, 2, 3, 1)
+                .reshape(instances, rows, widths[name])
+                for name, k in names
+            }
+            for (channel, names), widths in zip(group.bindings, group.load_widths)
+        ],
+    )
 
 
 @dataclass
@@ -438,8 +317,8 @@ class _LayerCollector:
     matter which order the pipeline finished in.
     """
 
-    #: image -> [(tile, stats), ...] in tile order.
-    tiles: Dict[int, List] = field(default_factory=dict)
+    #: image -> per-tile CAMStats in tile order.
+    stats: Dict[int, List[CAMStats]] = field(default_factory=dict)
     #: image -> checksum of the image's tile outputs.
     checksums: Dict[int, int] = field(default_factory=dict)
     #: image -> activation bits entering the layer.
@@ -468,14 +347,14 @@ class _PipelinedRequest:
         self,
         name: str,
         image: int,
-        tiles: List,
+        stats: List[CAMStats],
         checksum: int,
         input_bits: int,
         wall_time_s: float,
     ) -> None:
         collector = self.collector(name)
         with self.lock:
-            collector.tiles[image] = tiles
+            collector.stats[image] = stats
             collector.checksums[image] = checksum
             collector.input_bits[image] = input_bits
             collector.wall_time_s += wall_time_s
@@ -598,41 +477,20 @@ class BatchedInference:
         #: Monotonic per-engine request ids (span attribute only; results
         #: carry no id, so numbering never affects the data path).
         self._request_ids = itertools.count()
-        self._host_dataflow = (
-            os.environ.get(_HOST_DATAFLOW_ENV, "wave").strip().lower() or "wave"
-        )
-        if self._host_dataflow not in ("wave", "per-image"):
-            raise ConfigurationError(
-                f"{_HOST_DATAFLOW_ENV}={self._host_dataflow!r} is not a host "
-                f"dataflow mode (choose 'wave' or 'per-image')"
-            )
-        wave_capable = False
-        if self._host_dataflow == "wave":
-            try:
-                wave_capable = bool(
-                    getattr(
-                        resolve_backend(self.backend), "supports_program_wave", False
-                    )
-                )
-            except ConfigurationError:
-                # Invalid backends keep their error site: the legacy dispatch
-                # path raises when it builds the first AP.
-                wave_capable = False
+        self._technology = accelerator.config.technology
+        native_wave = resolve_backend(self.backend).supports_program_wave
         #: Per-layer host dataflow plans (tile parses + wave groupings); for
-        #: wave-capable backends this also pre-lowers every program to its
+        #: native-wave backends this also pre-lowers every program to its
         #: wave form, so no request pays the lowering cost.
         with telemetry.span(
             "host.plan",
             category="host",
             layers=len(self.graph.nodes),
-            wave=wave_capable,
+            wave=native_wave,
         ):
             self._node_plans = {
                 node.name: _plan_node(
-                    node,
-                    self._columns,
-                    self.accelerator.config.technology,
-                    wave_capable,
+                    node, self._columns, self._technology, native_wave
                 )
                 for node in self.graph.nodes
             }
@@ -791,143 +649,64 @@ class BatchedInference:
     def _layer_hook(self, node: DataflowNode, x: np.ndarray) -> np.ndarray:
         """Quantize a layer's input, execute its tiles, dequantize the output."""
         codes, steps = self.graph.store.quantize_input(node.name, x)
-        y_int = self._execute_node(node, codes)
+        num_images = codes.shape[0]
+        y_int, stats, checksum, wall = self._dispatch_layer(
+            node, codes, images=num_images
+        )
+        self._record_layer(
+            self._aggregate_layer(
+                node,
+                stats,
+                num_images,
+                codes.size * self.graph.store.activation_bits,
+                checksum,
+                wall,
+            )
+        )
         self.graph.store.record_output(node.name, y_int)
         y = dequantize_batch(y_int, steps, node.weight_scale)
         return y.reshape((x.shape[0],) + node.output_spatial(y_int.shape[-1]))
 
     # ------------------------------------------------------------------
-    def _execute_node(self, node: DataflowNode, codes: np.ndarray) -> np.ndarray:
-        """Run every (image, tile) of one layer and reduce the partial sums."""
-        planned = node.planned
-        mapping = node.mapping
-        technology = self.accelerator.config.technology
-        num_images = codes.shape[0]
-        positions = mapping.output_positions
-        plan = self._node_plans[node.name]
-        tile_specs = plan.tile_specs
+    # The one dispatch path: stage -> map_wave -> reduce
+    # ------------------------------------------------------------------
+    def _dispatch_layer(
+        self,
+        node: DataflowNode,
+        codes: np.ndarray,
+        in_flight: bool = False,
+        **span_args,
+    ) -> Tuple[np.ndarray, List[CAMStats], int, float]:
+        """Run every (image, tile) of one layer on ``codes`` and reduce.
 
-        staged = None
-        if plan.groups is not None:
-            staged = self._execute_node_wave(node, plan, codes, num_images)
-        if staged is not None:
-            results, wall = staged
-            # Residency accounting per (image, tile) dispatch, deferred until
-            # every wave of the layer succeeded (a declined wave falls back
-            # to the legacy path below, which charges the dispatches itself -
-            # deferral keeps the charge exactly-once either way).
-            for _ in range(num_images):
-                for spec in tile_specs:
-                    self.accelerator.account_tile_dispatch(spec[0])
-            pairs = [
-                (spec[0], image) for image in range(num_images) for spec in tile_specs
-            ]
-        else:
-            results, pairs, wall = self._execute_node_payloads(
-                node, plan, codes, num_images, technology
-            )
-
-        # Order-independent reduction of the real outputs: exact integer
-        # partial sums accumulated per (image, output channel, position).
-        accumulator = np.zeros((num_images, mapping.out_channels, positions), np.int64)
-        index = 0
-        for image in range(num_images):
-            for _, row_slice, _, names_seq, channels, uniform in tile_specs:
-                result = results[index]
-                index += 1
-                if channels.size == 0:
-                    continue
-                stacked = result.stacked_outputs
-                if stacked is None:
-                    stacked = np.stack(
-                        [
-                            outputs[name]
-                            for outputs, names in zip(result.outputs, names_seq)
-                            for name in names
-                        ]
-                    )
-                target = accumulator[image, :, row_slice]
-                if uniform:
-                    # All programs of the tile emit the same output channels
-                    # (one input-channel slice each): fold the program axis
-                    # first, then one indexed add per payload.  int64 addition
-                    # commutes exactly, so the result matches per-value adds.
-                    if len(names_seq) > 1:
-                        summed = stacked.reshape(
-                            len(names_seq), -1, stacked.shape[-1]
-                        ).sum(axis=0)
-                    else:
-                        summed = stacked
-                    target[channels[: len(names_seq[0])]] += summed
-                else:
-                    np.add.at(target, channels, stacked)
-
-        movement = charge_adder_tree_movement(
-            self.accelerator, planned, repeats=num_images
-        )
-        predecessor = self.graph.predecessor(node)
-        activation_bits = float(codes.size * self.graph.store.activation_bits)
-        movement = movement.merge(
-            self.accelerator.charge_activation_traffic(
-                activation_bits,
-                src=predecessor.planned.tiles[0].address if predecessor else None,
-                dst=planned.tiles[0].address if planned.tiles else None,
-            )
-        )
-        # Counter aggregation shared with the synthetic Scheduler; each image
-        # is its own latency stream (images sharing the pool serialise, tiles
-        # of one round within an image overlap).
-        layer_result = aggregate_layer_run(
-            planned,
-            [
-                (tile, result.stats, image)
-                for (tile, image), result in zip(pairs, results)
-            ],
-            self.accelerator,
-            movement,
-            repeats=num_images,
-            checksum=sum(result.checksum for result in results),
-            wall_time_s=wall,
-        )
-        self._record_layer(layer_result)
-        return accumulator
-
-    def _execute_node_wave(
-        self, node: DataflowNode, plan: _NodePlan, codes: np.ndarray, num_images: int
-    ) -> Optional[Tuple[List[InferenceTileResult], float]]:
-        """Wave-native host path of one layer (staged operands, direct waves).
-
-        The whole layer is lowered once - to packed bit planes when every
-        operand load shares one width, to integer rows otherwise - and each
-        wave group's ``(image, tile)`` instances slice views of that one
-        tensor (:func:`_stage_group`).  Returns results in payload order
-        (image-major, tile-minor), or ``None`` to route the layer through
-        the legacy per-payload path (non-stageable codes or a declined
-        wave), which reproduces the pre-fusion behavior exactly.
+        The layer is lowered once - to packed bit planes when every program
+        passed the wave pre-flight and the codes fit the narrowest load, to
+        integer rows otherwise - and each wave group's instances slice views
+        of that one tensor (:func:`_stage_group`).  Returns the integer
+        partial sums ``(images, out_channels, positions)``, the per-tile
+        CAMStats in (image, tile) order, the output checksum and the
+        device wall-clock.  ``in_flight`` tracks the layer's AP group in
+        :attr:`tracker` for the duration of the device work.
         """
-        if num_images == 0 or not plan.tile_specs:
-            return [], 0.0
-        plane_width = plan.plane_width
-        if plan.min_width is not None:
-            # Out-of-range codes cannot be staged (the packed form has no
-            # per-value range check); the legacy path raises the proper
-            # errors for them, exactly as before the fusion.
-            low = int(codes.min())
-            high = int(codes.max())
-            if low < min_signed_value(plan.min_width) or high > max_signed_value(
-                plan.min_width
-            ):
-                return None
-        technology = self.accelerator.config.technology
-        arena = getattr(self._tls, "arena", None)
-        if plane_width is not None:
+        plan = self._node_plans[node.name]
+        mapping = node.mapping
+        num_images = codes.shape[0]
+        planes = plan.plane_width is not None
+        if planes and codes.size:
+            # Out-of-range codes cannot be staged as planes (the packed form
+            # has no per-value range check); as values, the backend's
+            # per-instance fallback raises the proper range errors.
+            planes = min_signed_value(plan.min_width) <= int(
+                codes.min()
+            ) and int(codes.max()) <= max_signed_value(plan.min_width)
+        if planes:
             lowered = lower_batch_planes(
                 codes,
                 node.kernel_size,
                 node.stride,
                 node.padding,
-                width=plane_width,
-                arena=arena,
+                width=plan.plane_width,
+                arena=getattr(self._tls, "arena", None),
             )
         else:
             lowered = lower_batch_rows(
@@ -938,123 +717,144 @@ class BatchedInference:
             category="host",
             layer=node.name,
             images=num_images,
-            mode="wave" if plane_width is None else "wave-planes",
+            mode="wave-planes" if planes else "wave",
         ):
             staged_groups = [
-                _stage_group(group, lowered, num_images, plane_width)
+                _stage_group(group, lowered, num_images, planes)
                 for group in plan.groups
             ]
         num_tiles = len(plan.tile_specs)
-        results: List[Optional[InferenceTileResult]] = [None] * (
-            num_images * num_tiles
-        )
+        results: List[WaveResult] = [None] * (num_images * num_tiles)  # type: ignore[list-item]
         started = time.perf_counter()
         with telemetry.span(
             "device.layer",
             category="device",
             track=f"ap-group/{node.planned.layer_index}",
             layer=node.name,
-            images=num_images,
             executor=self.executor.name,
             backend=str(self.backend),
+            **span_args,
+        ), (
+            self.tracker.entered(node.planned.layer_index)
+            if in_flight
+            else nullcontext()
         ):
             for group, staged in zip(plan.groups, staged_groups):
-                group_start = time.perf_counter()
-                wave = execute_program_wave(
-                    group.tile.programs,
-                    staged,
-                    rows=group.rows,
-                    columns=self._columns,
-                    technology=technology,
-                )
-                if wave is None:
-                    return None
                 tiles = len(group.tile_indices)
-                duration = (time.perf_counter() - group_start) / max(len(wave), 1)
-                for instance, (stats, outputs_list, checksum, stacked) in enumerate(
-                    wave
-                ):
+                wave = self._run_wave(group, staged)
+                for instance, result in enumerate(wave):
                     image, tile_pos = divmod(instance, tiles)
-                    tile_index = group.tile_indices[tile_pos]
-                    results[image * num_tiles + tile_index] = InferenceTileResult(
-                        image_index=image,
-                        address=tuple(plan.tile_specs[tile_index][0].address),
-                        stats=stats,
-                        outputs=tuple(outputs_list),
-                        checksum=checksum,
-                        duration_s=duration,
-                        stacked_outputs=stacked,
-                    )
-        return results, time.perf_counter() - started
+                    results[image * num_tiles + group.tile_indices[tile_pos]] = result
+        wall = time.perf_counter() - started
+        # Residency accounting per (image, tile) dispatch: warm on a deployed
+        # (pinned) plan, cold lease + reprogram otherwise.
+        for _ in range(num_images):
+            for spec in plan.tile_specs:
+                self.accelerator.account_tile_dispatch(spec[0])
 
-    def _execute_node_payloads(
+        # Order-independent reduction of the real outputs: exact integer
+        # partial sums accumulated per (image, output channel, position).
+        accumulator = np.zeros(
+            (num_images, mapping.out_channels, mapping.output_positions), np.int64
+        )
+        index = 0
+        for image in range(num_images):
+            for _, row_slice, names_seq, channels, uniform in plan.tile_specs:
+                stacked = results[index].outputs
+                index += 1
+                if channels.size == 0:
+                    continue
+                target = accumulator[image, :, row_slice]
+                if uniform:
+                    # All programs of the tile emit the same output channels
+                    # (one input-channel slice each): fold the program axis
+                    # first, then one indexed add per tile.  int64 addition
+                    # commutes exactly, so the result matches per-value adds.
+                    if len(names_seq) > 1:
+                        stacked = stacked.reshape(
+                            len(names_seq), -1, stacked.shape[-1]
+                        ).sum(axis=0)
+                    target[channels[: len(names_seq[0])]] += stacked
+                else:
+                    np.add.at(target, channels, stacked)
+        return (
+            accumulator,
+            [result.stats for result in results],
+            sum(result.checksum for result in results),
+            wall,
+        )
+
+    def _run_wave(self, group: _WaveGroup, staged: StagedWaveInputs) -> List[WaveResult]:
+        """Execute one staged wave group, results in instance order.
+
+        Plane-staged groups passed the wave pre-flight at construction and
+        hold in-range codes, so the batched kernel takes them whole, in this
+        thread - called from here so that every native wave goes through
+        this module's ``execute_program_wave`` name, which the repository
+        benchmark's ``probe.backends.wave`` wrapper times.  Every other
+        group, and a kernel decline, goes through the executor's
+        ``map_wave`` and the backend's ``execute_wave`` contract.
+        """
+        if staged.planes is not None:
+            results = execute_program_wave(
+                group.tile.programs,
+                staged,
+                rows=group.rows,
+                columns=self._columns,
+                technology=self._technology,
+            )
+            if results is not None:
+                return results
+        return self.executor.map_wave(
+            self.backend,
+            group.tile.programs,
+            staged,
+            group.rows,
+            self._columns,
+            self._technology,
+        )
+
+    def _aggregate_layer(
         self,
         node: DataflowNode,
-        plan: _NodePlan,
-        codes: np.ndarray,
+        stats: Sequence[CAMStats],
         num_images: int,
-        technology,
-    ) -> Tuple[List[InferenceTileResult], List[tuple], float]:
-        """Legacy per-(image, tile) payload path of one layer.
+        input_bits: int,
+        checksum: int,
+        wall_time_s: float,
+    ) -> LayerRunResult:
+        """Charge one layer's interconnect movement and aggregate its tiles.
 
-        One strided im2col for the whole batch, then one payload dict per
-        (image, tile) handed to the executor (whose ``map_layer`` still
-        prefers the wave when the backend supports it).  Also the benchmark
-        baseline behind ``REPRO_HOST_DATAFLOW=per-image``.
+        ``stats`` holds the per-tile counters in (image, tile) order; each
+        image is its own latency stream (images sharing the pool serialise,
+        tiles of one round within an image overlap).
         """
-        columns_batch = lower_batch_rows(
-            codes, node.kernel_size, node.stride, node.padding
+        planned = node.planned
+        movement = charge_adder_tree_movement(
+            self.accelerator, planned, repeats=num_images
         )
-        payloads = []
-        with telemetry.span(
-            "host.stage",
-            category="host",
-            layer=node.name,
-            images=num_images,
-            mode="per-image",
-        ):
-            for image in range(num_images):
-                columns = columns_batch[image]
-                for tile, row_slice, bindings, _, _, _ in plan.tile_specs:
-                    # Residency accounting per (image, tile) dispatch: warm on
-                    # a deployed (pinned) plan, cold lease + reprogram else.
-                    self.accelerator.account_tile_dispatch(tile)
-                    inputs_list = [
-                        {
-                            name: columns[channel, position, row_slice]
-                            for name, position in positions
-                        }
-                        for channel, positions in bindings
-                    ]
-                    payloads.append(
-                        (
-                            tile,
-                            image,
-                            self._columns,
-                            self.backend,
-                            technology,
-                            inputs_list,
-                        )
-                    )
-
-        started = time.perf_counter()
-        with telemetry.span(
-            "device.layer",
-            category="device",
-            track=f"ap-group/{node.planned.layer_index}",
-            layer=node.name,
-            images=num_images,
-            executor=self.executor.name,
-            backend=str(self.backend),
-        ):
-            results = self.executor.map_layer(
-                _inference_tile_worker,
-                payloads,
-                lease=make_lease(self.accelerator, self._columns, self.backend),
-                wave=_inference_layer_wave,
+        predecessor = self.graph.predecessor(node)
+        movement = movement.merge(
+            self.accelerator.charge_activation_traffic(
+                float(input_bits),
+                src=predecessor.planned.tiles[0].address if predecessor else None,
+                dst=planned.tiles[0].address if planned.tiles else None,
             )
-        wall = time.perf_counter() - started
-        return results, [(payload[0], payload[1]) for payload in payloads], wall
+        )
+        tiles = planned.tiles
+        return aggregate_layer_run(
+            planned,
+            [
+                (tile, stats[image * len(tiles) + index], image)
+                for image in range(num_images)
+                for index, tile in enumerate(tiles)
+            ],
+            self.accelerator,
+            movement,
+            repeats=num_images,
+            checksum=checksum,
+            wall_time_s=wall_time_s,
+        )
 
     # ------------------------------------------------------------------
     # Pipelined dispatch: dependency-driven execution across layers/images
@@ -1069,8 +869,8 @@ class BatchedInference:
         execution of image i, and - because a weight-resident plan gives
         each layer a disjoint AP group - layer L+1 of one image streams
         through its own pinned APs while layer L of the next image is still
-        in flight.  No layer barrier exists anywhere; each ``(image, layer,
-        tile)`` work item dispatches the moment its input activations exist.
+        in flight.  No layer barrier exists anywhere; each ``(image, layer)``
+        work item dispatches the moment its input activations exist.
 
         Aggregated counters are rebuilt in image order at the end, so the
         returned :class:`InferenceResult` is byte-identical to the
@@ -1162,82 +962,24 @@ class BatchedInference:
     ) -> np.ndarray:
         """Quantize, dispatch and reduce one (image, layer) work item.
 
-        Runs on the image's driver thread; the AP tile programs go through
-        the executor's async ``submit_tasks`` so tiles of different layers
-        and images interleave freely on one worker pool.
+        Runs on the image's driver thread, through the same dispatch routine
+        as the layer-synchronous engine on the image's one-image codes;
+        concurrent drivers overlap on the executor's pool (and native waves
+        are pure NumPy, so they overlap too).
         """
-        planned = node.planned
-        mapping = node.mapping
-        technology = self.accelerator.config.technology
-        rows_per_ap = mapping.rows_per_ap
-
         codes, steps = request.store.quantize_image_input(node.name, image, x)
-        columns = lower_input_rows(
-            codes[0], node.kernel_size, node.stride, node.padding
-        )
-        payloads = []
-        for tile in planned.tiles:
-            # Residency accounting per (image, tile) dispatch, same as the
-            # layer-synchronous engine (warm on a deployed plan).
-            self.accelerator.account_tile_dispatch(tile)
-            start = tile.row_tile * rows_per_ap
-            row_slice = slice(start, start + tile.rows)
-            inputs_list = [
-                {
-                    name: columns[channel, int(name[1:]), row_slice]
-                    for name in program.input_columns
-                }
-                for channel, program in zip(tile.channel_indices, tile.programs)
-            ]
-            payloads.append(
-                (tile, image, self._columns, self.backend, technology, inputs_list)
-            )
-
-        started = time.perf_counter()
-        # No AP lease in pipelined mode: concurrent images may dispatch to
-        # the same address, and pooled APs are single-occupancy host objects.
-        # Workers build fresh functional APs instead - byte-identical per
-        # the lease contract.  Under a wave-capable backend the image's tile
-        # set executes as one mega-kernel call on the driver thread (the
-        # wave is pure NumPy, so concurrent drivers still overlap).
-        with telemetry.span(
-            "device.layer",
-            category="device",
-            track=f"ap-group/{planned.layer_index}",
-            layer=node.name,
+        y_int, stats, checksum, wall = self._dispatch_layer(
+            node,
+            codes,
+            in_flight=True,
             image=image,
             request_id=request.request_id,
-            executor=self.executor.name,
-            backend=str(self.backend),
-        ):
-            with self.tracker.entered(planned.layer_index):
-                results = _inference_layer_wave(payloads)
-                if results is None:
-                    futures = self.executor.submit_tasks(
-                        _inference_tile_worker, payloads
-                    )
-                    results = [future.result() for future in futures]
-        wall = time.perf_counter() - started
-
-        y_int = np.zeros(
-            (1, mapping.out_channels, mapping.output_positions), np.int64
         )
-        for payload, result in zip(payloads, results):
-            tile = payload[0]
-            start = tile.row_tile * rows_per_ap
-            row_slice = slice(start, start + tile.rows)
-            for outputs in result.outputs:
-                for name, values in outputs.items():
-                    y_int[0, int(name[1:]), row_slice] += values
-
         request.record(
             node.name,
             image,
-            tiles=[
-                (payload[0], result.stats)
-                for payload, result in zip(payloads, results)
-            ],
-            checksum=sum(result.checksum for result in results),
+            stats=stats,
+            checksum=checksum,
             input_bits=int(codes.size) * request.store.activation_bits,
             wall_time_s=wall,
         )
@@ -1264,44 +1006,25 @@ class BatchedInference:
             mode="pipelined",
         )
         for node in self.graph.nodes:
-            planned = node.planned
             collector = request.layers.get(node.name)
-            if collector is None or len(collector.tiles) != num_images:
-                seen = 0 if collector is None else len(collector.tiles)
+            if collector is None or len(collector.stats) != num_images:
+                seen = 0 if collector is None else len(collector.stats)
                 raise SimulationError(
                     f"pipelined run finished with {seen}/{num_images} images "
                     f"recorded for layer {node.name!r}"
                 )
-            ordered = [
-                (tile, stats, image)
-                for image in range(num_images)
-                for tile, stats in collector.tiles[image]
-            ]
-            movement = charge_adder_tree_movement(
-                self.accelerator, planned, repeats=num_images
-            )
-            predecessor = self.graph.predecessor(node)
-            activation_bits = float(sum(collector.input_bits.values()))
-            movement = movement.merge(
-                self.accelerator.charge_activation_traffic(
-                    activation_bits,
-                    src=(
-                        predecessor.planned.tiles[0].address
-                        if predecessor
-                        else None
-                    ),
-                    dst=planned.tiles[0].address if planned.tiles else None,
-                )
-            )
             execution.layers.append(
-                aggregate_layer_run(
-                    planned,
-                    ordered,
-                    self.accelerator,
-                    movement,
-                    repeats=num_images,
-                    checksum=sum(collector.checksums.values()),
-                    wall_time_s=collector.wall_time_s,
+                self._aggregate_layer(
+                    node,
+                    [
+                        stats
+                        for image in range(num_images)
+                        for stats in collector.stats[image]
+                    ],
+                    num_images,
+                    sum(collector.input_bits.values()),
+                    sum(collector.checksums.values()),
+                    collector.wall_time_s,
                 )
             )
         request.store.finalize_images(
@@ -1346,86 +1069,3 @@ class BatchedInference:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def run_inference(
-    model: Union[Module, str],
-    images: np.ndarray,
-    *,
-    executor: ExecutorSpec = "serial",
-    workers: Optional[int] = None,
-    batch: Optional[int] = None,
-    bits: int = 4,
-    signed: bool = False,
-    backend: Optional[str] = None,
-    accelerator: Optional[Accelerator] = None,
-    input_shape: Optional[Sequence[int]] = None,
-    sparsity: Optional[float] = None,
-    width: Optional[float] = None,
-    keep_activations: bool = False,
-    rng=0,
-    name: Optional[str] = None,
-) -> InferenceResult:
-    """Run functional end-to-end inference in one call.
-
-    .. deprecated:: 1.1
-        ``run_inference`` compiles, deploys and tears everything down for
-        every single call.  Use :class:`repro.session.Session` instead -
-        ``compile()``/``deploy()`` once, then serve repeated ``infer()``
-        requests against weights that stay resident in CAM.  This shim
-        builds a one-request session under the hood (byte-identical logits
-        and CAM counters) and will be removed one release after 1.1.
-
-    Args:
-        model: a module tree, or a registry model name (``vgg9``/``vgg11``/
-            ``resnet18``; ``sparsity``/``width``/``rng`` configure the build).
-        images: batched ``(N,) + input_shape`` images (or one un-batched
-            image).
-        executor: tile executor (``serial``/``parallel``/``thread``).
-        workers: worker count for pool executors.
-        batch: optional micro-batch size (images per pass through the pool).
-        bits: activation precision.
-        signed: signedness of the quantized activations.
-        backend: functional AP execution backend.
-        accelerator: AP provider (auto-sized when omitted; an explicit one
-            that is too small for the weight-resident deploy raises
-            :class:`~repro.errors.CapacityError`, as the legacy path did).
-        input_shape: un-batched input shape; inferred from ``images`` (4-D and
-            2-D arrays are treated as batched) or the registry when omitted.
-        keep_activations: keep per-layer quantized tensors in the result's
-            activation store.
-
-    Returns:
-        :class:`InferenceResult` with logits, predictions and the aggregated
-        :class:`~repro.runtime.scheduler.PlanExecution` counters.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_inference() is deprecated: it re-compiles and re-deploys per "
-        "call; use repro.session.Session (compile()/deploy() once, then "
-        "infer() repeatedly against CAM-resident weights)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import Session, SessionConfig
-
-    if input_shape is None and not isinstance(model, str):
-        _, input_shape = normalize_images(images)
-    config = SessionConfig(
-        model=model,
-        width=width,
-        sparsity=sparsity,
-        rng=rng,
-        input_shape=tuple(input_shape) if input_shape is not None else None,
-        bits=bits,
-        signed=signed,
-        backend=backend,
-        executor=executor,
-        workers=workers,
-        keep_activations=keep_activations,
-        name=name,
-    )
-    with Session(config, accelerator=accelerator) as session:
-        session.compile().deploy()
-        return session.infer(images, batch=batch)

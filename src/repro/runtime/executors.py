@@ -1,30 +1,34 @@
 """Pluggable executors: run tile programs serially or on worker pools.
 
-An executor takes a batch of :class:`~repro.runtime.plan.TileProgram` objects
-(one layer round's worth of concurrent work) and returns one
-:class:`TileResult` per tile, **in tile order**.  Three executors ship with
-the runtime:
+Three executors ship with the runtime:
 
-* ``serial`` - one tile after another in the calling process.  When handed an
-  :class:`~repro.arch.accelerator.Accelerator` it leases pooled functional
-  APs from it (reset between leases), which keeps large plans allocation-free.
+* ``serial`` - one work item after another in the calling process.  When
+  handed an :class:`~repro.arch.accelerator.Accelerator` it leases pooled
+  functional APs from it (reset between leases), which keeps large synthetic
+  plans allocation-free.
 * ``parallel`` - a process pool (``workers`` processes); the default parallel
   executor, immune to the GIL, intended for the Python-heavy ``reference``
   backend and for many-tile plans.
 * ``thread`` - a thread pool; lighter start-up, useful when the ``vectorized``
   backend spends its time in NumPy kernels that release the GIL.
 
-Every executor exposes two dispatch surfaces: the order-preserving
-``map_tasks`` (one layer's barrier-synchronized wave) and the asynchronous
-``submit_tasks``/``drain`` pair used by the dependency-driven pipeline
-(:mod:`repro.runtime.pipeline`), which interleaves work items from several
-layers, images and requests on one pool.
+Every executor exposes three dispatch surfaces:
 
-Determinism: a tile's result depends only on the tile itself (its programs
-and ``input_seed``) and the backend contract guarantees byte-identical
+* :meth:`Executor.map_wave` - the device contract of functional inference:
+  one staged wave group on one backend.  Native-wave backends run it in the
+  calling thread; per-instance backends split its instances over the pool.
+* :meth:`Executor.map_tasks` - an order-preserving map of a picklable worker
+  over payloads (the synthetic tile path of :meth:`Executor.run`, and the
+  chunk fan-out behind ``map_wave``).
+* ``submit_tasks``/``drain`` - the asynchronous pair used by the
+  dependency-driven synthetic pipeline (:mod:`repro.runtime.pipeline`),
+  which interleaves work items from several layers and requests on one pool.
+
+Determinism: a work item's result depends only on its programs and inputs,
+and the backend contract guarantees byte-identical
 :class:`~repro.cam.stats.CAMStats` across backends, so every executor -
-whatever its scheduling order - produces the same per-tile results and the
-same order-independent reductions.
+whatever its scheduling order - produces the same per-instance results and
+the same order-independent reductions.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Type
 import numpy as np
 
 from repro import telemetry
-from repro.ap.backends import DEFAULT_BACKEND
+from repro.ap.backends import DEFAULT_BACKEND, BackendSpec, resolve_backend
+from repro.ap.backends.base import StagedWaveInputs, WaveResult
 from repro.cam.stats import CAMStats
 from repro.errors import ConfigurationError
 from repro.rtm.timing import RTMTechnology
@@ -143,6 +148,12 @@ def _pool_worker(payload, ap=None) -> TileResult:
     return run_tile_program(tile, tile_index, columns, backend, technology, ap=ap)
 
 
+def _wave_chunk(payload) -> List[WaveResult]:
+    """Module-level worker: one contiguous instance chunk of a wave group."""
+    backend, programs, staged, rows, columns, technology = payload
+    return backend.execute_wave(programs, staged, rows, columns, technology)
+
+
 def _traced_task(item):
     """Run one (fn, payload) task under a local span capture and ship both.
 
@@ -188,8 +199,8 @@ def make_lease(accelerator: "Accelerator", columns: int, backend) -> LeaseFn:
     exactly like the fresh AP a pool worker would build for the same payload
     (``tile.rows`` x ``columns`` on ``backend``), which is what keeps serial
     leased execution byte-identical to pool-worker execution.  Payloads must
-    carry their :class:`~repro.runtime.plan.TileProgram` first - the
-    convention of both the synthetic tile path and the inference dataflow.
+    carry their :class:`~repro.runtime.plan.TileProgram` first, as the
+    synthetic tile path's do.
     """
 
     def lease(payload):
@@ -206,10 +217,9 @@ class Executor:
 
     Subclasses implement :meth:`map_tasks` - a generic order-preserving map of
     a picklable worker function over payloads.  The synthetic-input tile path
-    (:meth:`run`) and the inference dataflow
-    (:mod:`repro.inference.engine`, which ships *real* activations in its
-    payloads) both dispatch through it, so every executor serves both
-    workloads with one scheduling policy.
+    (:meth:`run`) and the per-instance chunks of inference waves
+    (:meth:`map_wave`) both dispatch through it, so every executor serves
+    both workloads with one scheduling policy.
     """
 
     #: Registry name (e.g. ``"serial"``).
@@ -232,40 +242,45 @@ class Executor:
         """
         raise NotImplementedError
 
-    def map_layer(
+    def map_wave(
         self,
-        fn: Callable,
-        payloads: Sequence,
-        lease: Optional[LeaseFn] = None,
-        wave: Optional[Callable[[Sequence], Optional[List]]] = None,
-    ) -> List:
-        """Dispatch one layer's wave of payloads, preferring a batched path.
+        backend: BackendSpec,
+        programs: Sequence,
+        staged: StagedWaveInputs,
+        rows: int,
+        columns: int,
+        technology: Optional[RTMTechnology] = None,
+    ) -> List[WaveResult]:
+        """Execute one staged wave group, returning results in instance order.
 
-        ``wave`` (optional) maps the *whole* payload list to its result list
-        in one call - the mega-kernel entry point of the ``batched`` backend,
-        which replaces task fan-out with data parallelism inside NumPy
-        kernels.  A wave that returns ``None`` declines the batch (backend
-        without wave support, or program shapes needing the per-instance
-        path), and the layer falls back to the executor's ordinary
-        order-preserving :meth:`map_tasks` dispatch.  The wave executes in
-        the calling thread on every executor: one host call per layer beats
-        any worker-pool fan-out of interpreted per-tile tasks, and it keeps
-        results, counters and ledgers byte-identical across executors.
+        Backends with a native wave kernel (``supports_program_wave``) run
+        the whole group in the calling thread: one host call per group beats
+        any worker-pool fan-out of interpreted per-instance work, and it
+        keeps results, counters and ledgers byte-identical across executors.
+        Per-instance backends split the instance range into contiguous
+        chunks, one per worker, dispatched through :meth:`map_tasks`.
         """
+        backend_class = resolve_backend(backend)
+        total = staged.instances
+        native = backend_class.supports_program_wave
         with telemetry.span(
-            "executor.map_layer",
-            executor=self.name,
-            tasks=len(payloads),
-            wave=wave is not None,
+            "executor.map_wave", executor=self.name, instances=total, native=native
         ):
-            if wave is not None:
-                results = wave(payloads)
-                if results is not None:
-                    return results
-                telemetry.instant(
-                    "executor.wave_fallback", executor=self.name, tasks=len(payloads)
+            if native:
+                return backend_class.execute_wave(
+                    programs, staged, rows, columns, technology
                 )
-            return self.map_tasks(fn, payloads, lease=lease)
+            chunks = max(1, min(self.workers, total))
+            bounds = [total * index // chunks for index in range(chunks + 1)]
+            payloads = [
+                (backend_class, programs, staged.slice(start, stop), rows, columns,
+                 technology)
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+            results: List[WaveResult] = []
+            for chunk in self.map_tasks(_wave_chunk, payloads):
+                results.extend(chunk)
+            return results
 
     def submit_tasks(
         self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None

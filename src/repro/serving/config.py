@@ -163,6 +163,7 @@ class ClusterConfig:
             backend=self.backend,
             executor=self.executor,
             workers=self.workers,
+            rng=self.seed,
             seed=self.seed,
             name=self.display_name,
             pipeline=self.pipeline,

@@ -2,7 +2,7 @@
 
 One :class:`SessionConfig` replaces the loose keyword surface of the legacy
 free functions (``specs_for_network`` / ``compile_model`` /
-``build_execution_plan`` / ``run_inference``): everything a
+``build_execution_plan``): everything a
 :class:`~repro.session.session.Session` needs to compile a network once,
 deploy its weights into CAM once and then serve requests is declared up
 front, in one place.

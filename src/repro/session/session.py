@@ -23,11 +23,6 @@ operating model explicitly:
    ``per_request_cost`` and amortizes the former over the served requests;
    :meth:`Session.crosscheck` validates a served request against the
    analytic cost model.
-
-The legacy free functions (``run_inference``, the top-level
-``repro.crosscheck_execution``, the old CLI wiring) re-built and re-leased
-all of this per call; they now delegate here and survive as thin
-deprecation shims.
 """
 
 from __future__ import annotations

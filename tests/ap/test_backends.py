@@ -5,10 +5,11 @@ CAM in a byte-identical state and accumulates identical
 :class:`~repro.cam.stats.CAMStats` counters.  These tests enforce it with a
 deterministic opcode matrix, targeted edge cases (sign extension, narrow
 extra destinations, partial rows, fallback layouts) and a randomized
-program fuzz.  The wave tests additionally pin the layer-level contract of
-the ``batched`` backend: :func:`~repro.ap.backends.batched.
-execute_program_wave` either reproduces per-instance execution byte for
-byte or declines (returns ``None``) so the caller falls back.
+program fuzz.  The wave tests additionally pin the layer-level device
+contract: every backend's ``execute_wave`` reproduces per-instance execution
+byte for byte, and the ``batched`` kernel
+:func:`~repro.ap.backends.batched.execute_program_wave` either does too or
+declines (returns ``None``) so its backend falls back per instance.
 """
 
 import numpy as np
@@ -39,7 +40,8 @@ from repro.ap.backends.vectorized import lut_truth_matrix
 from repro.ap.core import AssociativeProcessor
 from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
 from repro.ap.lut import all_luts, simulate_lut_passes
-from repro.errors import ConfigurationError
+from repro import telemetry
+from repro.errors import ConfigurationError, QuantizationError
 
 
 def run_both(program, inputs, rows=16, columns=16):
@@ -391,23 +393,57 @@ def per_instance_wave_baseline(
 def assert_wave_matches_baseline(wave_results, baseline):
     assert len(wave_results) == len(baseline)
     for got, expected in zip(wave_results, baseline):
-        got_stats, got_outputs, got_checksum, stacked = got
         expected_stats, expected_outputs, expected_checksum = expected
-        assert got_stats == expected_stats
-        assert got_checksum == expected_checksum
-        assert len(got_outputs) == len(expected_outputs)
-        flat_rows = []
-        for got_programs, expected_programs in zip(got_outputs, expected_outputs):
-            assert sorted(got_programs) == sorted(expected_programs)
-            for name in expected_programs:
-                assert np.array_equal(got_programs[name], expected_programs[name])
-            for name in sorted(got_programs):
-                flat_rows.append(np.asarray(got_programs[name], dtype=np.int64))
-        # The stacked matrix is the same data in (program order, sorted-name
-        # within program) row order - the bulk-reduction contract.
-        assert stacked.shape == (len(flat_rows), len(flat_rows[0]) if flat_rows else 0)
-        for row, values in zip(stacked, flat_rows):
+        assert got.stats == expected_stats
+        assert got.checksum == expected_checksum
+        # The stacked matrix holds every output vector in (program order,
+        # sorted-name within program) row order - the bulk-reduction contract.
+        flat_rows = [
+            programs[name]
+            for programs in expected_outputs
+            for name in sorted(programs)
+        ]
+        assert got.outputs.shape == (
+            len(flat_rows),
+            len(flat_rows[0]) if flat_rows else 0,
+        )
+        for row, values in zip(got.outputs, flat_rows):
             assert np.array_equal(row, values)
+
+
+def assert_waves_identical(left, right):
+    assert len(left) == len(right)
+    for one, other in zip(left, right):
+        assert one.stats == other.stats
+        assert one.checksum == other.checksum
+        assert np.array_equal(one.outputs, other.outputs)
+
+
+def staged_values(inputs, rows):
+    """Stack per-instance ``[{name: vector}]`` dicts into a staged batch."""
+    values = [
+        {
+            name: np.stack(
+                [np.asarray(instance[index][name], dtype=np.int64) for instance in inputs]
+            )
+            for name in program_inputs
+        }
+        for index, program_inputs in enumerate(inputs[0])
+    ]
+    return StagedWaveInputs(len(inputs), rows, values=values)
+
+
+def staged_planes(programs, inputs, rows, columns):
+    """The bit-plane form of :func:`staged_values` (pre-unpacked loads)."""
+    plan = wave_staging_plan(programs, columns)
+    assert plan is not None
+    load_widths, _ = plan
+    values = staged_values(inputs, rows).values
+    planes = [
+        {name: unpack_bits(values[index][name], width) for name, width in widths.items()}
+        for index, widths in enumerate(load_widths)
+    ]
+    return StagedWaveInputs(len(inputs), rows, planes=planes)
 
 
 def add_tile(width, columns=4):
@@ -424,12 +460,12 @@ def add_tile(width, columns=4):
 
 
 class TestWaveExecution:
-    """Layer-wave contract: byte-identity to per-instance runs, or decline.
+    """Layer-wave kernel contract: byte-identity to per-instance runs, or decline.
 
-    ``execute_program_wave`` is the mega-kernel entry point the inference
-    engine and ``Executor.map_layer`` dispatch whole layers through; every
-    test here checks it against instances executed one at a time on a fresh
-    AP (the exact semantics of pool-worker dispatch).
+    ``execute_program_wave`` is the batched backend's native kernel behind
+    its ``execute_wave``; every test here checks it against instances
+    executed one at a time on a fresh AP (the exact semantics of the
+    per-instance contract).
     """
 
     def _tile_inputs(self, programs, rows, instances, rng):
@@ -447,7 +483,9 @@ class TestWaveExecution:
         ]
         rows = 9
         inputs = self._tile_inputs(programs, rows, instances=4, rng=rng)
-        wave = execute_program_wave(programs, inputs, rows, columns=12)
+        wave = execute_program_wave(
+            programs, staged_values(inputs, rows), rows, columns=12
+        )
         if wave is None:
             pytest.skip("fuzzed program drew a shape outside the wave subset")
         assert_wave_matches_baseline(
@@ -470,7 +508,9 @@ class TestWaveExecution:
             inputs = self._tile_inputs(
                 programs, rows, instances=int(rng.integers(1, 4)), rng=rng
             )
-            wave = execute_program_wave(programs, inputs, rows, columns=columns)
+            wave = execute_program_wave(
+                programs, staged_values(inputs, rows), rows, columns=columns
+            )
             if wave is None:
                 continue
             accepted += 1
@@ -492,7 +532,9 @@ class TestWaveExecution:
             values_b = rng.integers(-bound // 2, bound // 2, rows)
             values_a[0], values_b[0] = bound // 2, bound // 2 - 1
             inputs.append([{"a": values_a, "b": values_b}])
-        wave = execute_program_wave(programs, inputs, rows, columns)
+        wave = execute_program_wave(
+            programs, staged_values(inputs, rows), rows, columns
+        )
         assert wave is not None
         assert_wave_matches_baseline(
             wave, per_instance_wave_baseline(programs, inputs, rows, columns)
@@ -505,14 +547,15 @@ class TestWaveExecution:
         busy = [{"a": np.full(rows, 17), "b": np.full(rows, 13)}]
         idle = [{"a": np.zeros(rows, dtype=np.int64),
                  "b": np.zeros(rows, dtype=np.int64)}]
-        wave = execute_program_wave(programs, [busy, idle], rows, columns)
+        wave = execute_program_wave(
+            programs, staged_values([busy, idle], rows), rows, columns
+        )
         assert wave is not None
-        busy_stats, _, busy_checksum, _ = wave[0]
-        idle_stats, _, idle_checksum, _ = wave[1]
-        assert busy_stats.write_phases > idle_stats.write_phases
-        assert busy_checksum != idle_checksum
+        busy_result, idle_result = wave
+        assert busy_result.stats.write_phases > idle_result.stats.write_phases
+        assert busy_result.checksum != idle_result.checksum
         # Data-independent counters stay identical across instances.
-        assert busy_stats.search_phases == idle_stats.search_phases
+        assert busy_result.stats.search_phases == idle_result.stats.search_phases
 
     def test_chunked_wave_byte_identical(self, rng, monkeypatch):
         """Chunking (bounded stacked state) must not change any observable."""
@@ -520,31 +563,35 @@ class TestWaveExecution:
 
         programs, columns = add_tile(7)
         rows = 5
-        inputs = self._tile_inputs(programs, rows, instances=6, rng=rng)
-        whole = execute_program_wave(programs, inputs, rows, columns)
+        staged = staged_values(
+            self._tile_inputs(programs, rows, instances=6, rng=rng), rows
+        )
+        whole = execute_program_wave(programs, staged, rows, columns)
         monkeypatch.setattr(batched_module, "_MAX_WAVE_STATE_BYTES", 1)
-        chunked = execute_program_wave(programs, inputs, rows, columns)
+        chunked = execute_program_wave(programs, staged, rows, columns)
         assert whole is not None and chunked is not None
-        for left, right in zip(whole, chunked):
-            assert left[0] == right[0]
-            assert left[2] == right[2]
-            assert np.array_equal(left[3], right[3])
+        assert_waves_identical(whole, chunked)
 
     def test_empty_wave_returns_empty(self):
         programs, columns = add_tile(5)
-        assert execute_program_wave(programs, [], 4, columns) == []
+        empty = StagedWaveInputs(0, 4, values=[{}])
+        assert execute_program_wave(programs, empty, 4, columns) == []
 
     def test_declines_degenerate_geometry(self, rng):
         programs, columns = add_tile(5)
-        inputs = self._tile_inputs(programs, 4, instances=1, rng=rng)
-        assert execute_program_wave(programs, inputs, 0, columns) is None
-        assert execute_program_wave(programs, inputs, 4, 0) is None
+        staged = staged_values(
+            self._tile_inputs(programs, 4, instances=1, rng=rng), 4
+        )
+        assert execute_program_wave(programs, staged, 0, columns) is None
+        assert execute_program_wave(programs, staged, 4, 0) is None
 
     def test_declines_carry_column_mismatch(self, rng):
         programs, columns = add_tile(5)
-        inputs = self._tile_inputs(programs, 4, instances=1, rng=rng)
+        staged = staged_values(
+            self._tile_inputs(programs, 4, instances=1, rng=rng), 4
+        )
         assert (
-            execute_program_wave(programs, inputs, 4, columns, carry_column=1)
+            execute_program_wave(programs, staged, 4, columns, carry_column=1)
             is None
         )
 
@@ -553,116 +600,73 @@ class TestWaveExecution:
         all force the per-instance fallback instead of corrupting the wave."""
         programs, columns = add_tile(5)
         rows = 4
-        good = self._tile_inputs(programs, rows, instances=2, rng=rng)
+        good = staged_values(
+            self._tile_inputs(programs, rows, instances=2, rng=rng), rows
+        ).values[0]
 
-        wrong_length = [list(good[0]), [{**good[1][0], "a": np.zeros(rows + 1)}]]
+        def staged(**operands):
+            return StagedWaveInputs(2, rows, values=[{**good, **operands}])
+
+        wrong_length = staged(a=np.zeros((2, rows + 1), dtype=np.int64))
         assert execute_program_wave(programs, wrong_length, rows, columns) is None
 
-        out_of_range = [list(good[0]), [{**good[1][0], "a": np.full(rows, 2**10)}]]
-        assert execute_program_wave(programs, out_of_range, rows, columns) is None
+        out_of_range = np.array(good["a"])
+        out_of_range[1] = 2**10
+        assert (
+            execute_program_wave(programs, staged(a=out_of_range), rows, columns)
+            is None
+        )
 
-        missing_name = [list(good[0]), [{"a": good[1][0]["a"]}]]
+        missing_name = StagedWaveInputs(2, rows, values=[{"a": good["a"]}])
         assert execute_program_wave(programs, missing_name, rows, columns) is None
 
-        miscounted = [list(good[0]), []]
+        miscounted = StagedWaveInputs(2, rows, values=[])
         assert execute_program_wave(programs, miscounted, rows, columns) is None
 
-        non_integer = [list(good[0]), [{**good[1][0], "a": np.zeros(rows) + 0.5}]]
+        non_integer = staged(a=np.zeros((2, rows)) + 0.5)
         assert execute_program_wave(programs, non_integer, rows, columns) is None
 
 
 class TestStagedWaveExecution:
-    """Host-staged operand forms: byte-identity to the per-instance dicts.
+    """Host-staged operand forms and the ``execute_wave`` device contract.
 
-    The wave-native host dataflow hands ``execute_program_wave`` one
-    :class:`StagedWaveInputs` per layer group instead of ``instances``
-    payload dicts; both the integer-batch and pre-unpacked bit-plane forms
-    must reproduce the legacy form bit for bit, and malformed staging must
-    decline (return ``None``) rather than corrupt the wave.
+    The host dataflow hands every backend one :class:`StagedWaveInputs` per
+    layer group; the integer-batch and pre-unpacked bit-plane forms must
+    both reproduce per-instance execution bit for bit on every backend, and
+    malformed staging must make the batched kernel decline (return
+    ``None``) rather than corrupt the wave.
     """
 
-    def _staged_values(self, programs, inputs, rows):
-        values = []
-        for program_index, _ in enumerate(programs):
-            names = inputs[0][program_index].keys()
-            values.append(
-                {
-                    name: np.stack(
-                        [
-                            np.asarray(
-                                instance[program_index][name], dtype=np.int64
-                            )
-                            for instance in inputs
-                        ]
-                    )
-                    for name in names
-                }
-            )
-        return StagedWaveInputs(len(inputs), rows, values=values)
-
-    def _staged_planes(self, programs, inputs, rows, columns):
-        plan = wave_staging_plan(programs, columns)
-        assert plan is not None
-        load_widths, _ = plan
-        planes = []
-        for program_index, widths in enumerate(load_widths):
-            planes.append(
-                {
-                    name: unpack_bits(
-                        np.stack(
-                            [
-                                np.asarray(
-                                    instance[program_index][name],
-                                    dtype=np.int64,
-                                )
-                                for instance in inputs
-                            ]
-                        ),
-                        width,
-                    )
-                    for name, width in widths.items()
-                }
-            )
-        return StagedWaveInputs(len(inputs), rows, planes=planes)
+    def _inputs(self, programs, rows, instances, rng):
+        return [
+            [random_inputs(program, rows, rng) for program in programs]
+            for _ in range(instances)
+        ]
 
     def test_staged_values_match_per_instance(self, rng):
         programs, columns = add_tile(7)
         rows = 6
-        inputs = [
-            [random_inputs(program, rows, rng) for program in programs]
-            for _ in range(4)
-        ]
-        baseline = execute_program_wave(programs, inputs, rows, columns)
-        staged = execute_program_wave(
-            programs, self._staged_values(programs, inputs, rows), rows, columns
+        inputs = self._inputs(programs, rows, 4, rng)
+        wave = execute_program_wave(
+            programs, staged_values(inputs, rows), rows, columns
         )
-        assert baseline is not None and staged is not None
-        for legacy, wave in zip(baseline, staged):
-            assert legacy[0] == wave[0]
-            assert legacy[2] == wave[2]
-            assert np.array_equal(legacy[3], wave[3])
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave, per_instance_wave_baseline(programs, inputs, rows, columns)
+        )
 
     def test_staged_planes_match_staged_values(self, rng):
         programs, columns = add_tile(6)
         rows = 5
-        inputs = [
-            [random_inputs(program, rows, rng) for program in programs]
-            for _ in range(3)
-        ]
+        inputs = self._inputs(programs, rows, 3, rng)
         from_values = execute_program_wave(
-            programs, self._staged_values(programs, inputs, rows), rows, columns
+            programs, staged_values(inputs, rows), rows, columns
         )
         from_planes = execute_program_wave(
-            programs,
-            self._staged_planes(programs, inputs, rows, columns),
-            rows,
-            columns,
+            programs, staged_planes(programs, inputs, rows, columns), rows, columns
         )
         assert from_values is not None and from_planes is not None
-        for left, right in zip(from_values, from_planes):
-            assert left[0] == right[0]
-            assert left[2] == right[2]
-            assert np.array_equal(left[3], right[3])
+        assert_waves_identical(from_values, from_planes)
 
     def test_staging_plan_reports_load_widths(self):
         programs, columns = add_tile(7)
@@ -682,29 +686,18 @@ class TestStagedWaveExecution:
 
         programs, columns = add_tile(7)
         rows = 5
-        inputs = [
-            [random_inputs(program, rows, rng) for program in programs]
-            for _ in range(6)
-        ]
-        staged = self._staged_values(programs, inputs, rows)
+        staged = staged_values(self._inputs(programs, rows, 6, rng), rows)
         whole = execute_program_wave(programs, staged, rows, columns)
         monkeypatch.setattr(batched_module, "_MAX_WAVE_STATE_BYTES", 1)
         chunked = execute_program_wave(programs, staged, rows, columns)
         assert whole is not None and chunked is not None
-        for left, right in zip(whole, chunked):
-            assert left[0] == right[0]
-            assert left[2] == right[2]
-            assert np.array_equal(left[3], right[3])
+        assert_waves_identical(whole, chunked)
 
     def test_staged_malformed_declines(self, rng):
         """Shape, dtype, range and arity mismatches all decline cleanly."""
         programs, columns = add_tile(5)
         rows = 4
-        inputs = [
-            [random_inputs(program, rows, rng) for program in programs]
-            for _ in range(2)
-        ]
-        good = self._staged_values(programs, inputs, rows)
+        good = staged_values(self._inputs(programs, rows, 2, rng), rows)
 
         bad_shape = StagedWaveInputs(
             2, rows, values=[{**good.values[0], "a": np.zeros((2, rows + 1))}]
@@ -737,3 +730,61 @@ class TestStagedWaveExecution:
             StagedWaveInputs(1, 4)
         with pytest.raises(ValueError):
             StagedWaveInputs(1, 4, values=[], planes=[])
+
+    @pytest.mark.parametrize("form", ["values", "planes"])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized", "batched"])
+    def test_execute_wave_matches_per_instance(self, rng, backend, form):
+        """Every backend's ``execute_wave`` is per-instance execution."""
+        programs = [
+            random_program(rng, num_instructions=10, columns=12, max_width=8,
+                           name=f"slice{index}")
+            for index in range(3)
+        ]
+        columns, rows = 12, 7
+        if form == "planes" and wave_staging_plan(programs, columns) is None:
+            programs = add_tile(6, columns)[0] * 2
+        inputs = self._inputs(programs, rows, 5, rng)
+        staged = (
+            staged_values(inputs, rows)
+            if form == "values"
+            else staged_planes(programs, inputs, rows, columns)
+        )
+        wave = resolve_backend(backend).execute_wave(programs, staged, rows, columns)
+        assert_wave_matches_baseline(
+            wave, per_instance_wave_baseline(programs, inputs, rows, columns)
+        )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized", "batched"])
+    def test_execute_wave_raises_range_errors(self, rng, backend):
+        """Out-of-range operands reach the per-instance semantics' errors."""
+        programs, columns = add_tile(5)
+        rows = 4
+        good = staged_values(self._inputs(programs, rows, 2, rng), rows)
+        out_of_range = StagedWaveInputs(
+            2, rows, values=[{**good.values[0], "a": np.full((2, rows), 2**10)}]
+        )
+        with pytest.raises(QuantizationError):
+            resolve_backend(backend).execute_wave(programs, out_of_range, rows, columns)
+
+    def test_batched_decline_falls_back_per_instance(self, rng, monkeypatch):
+        """A kernel decline runs per instance: identical, one decline event."""
+        from repro.ap.backends import batched as batched_module
+
+        programs, columns = add_tile(7)
+        rows = 6
+        inputs = self._inputs(programs, rows, 3, rng)
+        monkeypatch.setattr(
+            batched_module, "compile_program_wave", lambda *args: None
+        )
+        with telemetry.capture() as tracer:
+            wave = BatchedBackend.execute_wave(
+                programs, staged_values(inputs, rows), rows, columns
+            )
+            events = tracer.drain()
+        assert_wave_matches_baseline(
+            wave, per_instance_wave_baseline(programs, inputs, rows, columns)
+        )
+        declines = [event for event in events if event.name == "backend.wave_decline"]
+        assert len(declines) == 1
+        assert declines[0].args["reason"] == "program-lowering"
+        assert sum(event.name == "device.tile" for event in events) == 3

@@ -20,6 +20,24 @@ from repro.nn.layers import (
 from repro.nn.model import Sequential
 from repro.nn.models.resnet import build_resnet18
 from repro.nn.models.vgg import build_vgg9
+from repro.session import Session
+
+
+@pytest.fixture(scope="session")
+def session_infer():
+    """One request through a fresh ``Session``: compile, deploy, infer.
+
+    ``infer(model, images, batch=None, **config)`` - ``config`` takes the
+    :class:`~repro.session.SessionConfig` fields (``input_shape``, ``bits``,
+    ``backend``, ``executor``, ...).
+    """
+
+    def infer(model, images, batch=None, **config):
+        with Session(model=model, **config) as session:
+            session.compile().deploy()
+            return session.infer(images, batch=batch)
+
+    return infer
 
 
 @pytest.fixture(scope="module")

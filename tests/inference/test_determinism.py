@@ -4,15 +4,14 @@ The inference engine's contract extends the runtime's: because per-tile
 partial sums are exact integers and every reduction (integer sums, per-round
 maxima) is order-independent, the {serial, parallel, thread} executors and
 the {reference, vectorized, batched} backends must produce byte-identical
-logits *and* byte-identical aggregated CAMStats for the same images.  The
-``batched`` rows additionally exercise the layer-wave fast path (one
-mega-kernel per layer) against the per-tile baselines.
+logits *and* byte-identical aggregated CAMStats for the same images, under
+both the layer-synchronous and the pipelined discipline.  The ``batched``
+rows additionally exercise the native wave kernel against the per-instance
+baselines.
 """
 
 import numpy as np
 import pytest
-
-from repro.inference import run_inference
 
 EXECUTORS = ("serial", "parallel", "thread")
 BACKENDS = ("reference", "vectorized", "batched")
@@ -25,21 +24,32 @@ def tiny_images(tiny_cnn, images_rng):
 
 
 @pytest.fixture(scope="module")
-def baseline(tiny_cnn, tiny_images):
-    model, _ = tiny_cnn
-    return run_inference(
-        model, tiny_images, bits=4, executor="serial", backend="vectorized"
+def baseline(tiny_cnn, tiny_images, session_infer):
+    model, input_shape = tiny_cnn
+    return session_infer(
+        model,
+        tiny_images,
+        input_shape=input_shape,
+        bits=4,
+        executor="serial",
+        backend="vectorized",
     )
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_logits_and_stats_byte_identical(
-    tiny_cnn, tiny_images, baseline, executor, backend
+    tiny_cnn, tiny_images, baseline, session_infer, executor, backend
 ):
-    model, _ = tiny_cnn
-    result = run_inference(
-        model, tiny_images, bits=4, executor=executor, workers=2, backend=backend
+    model, input_shape = tiny_cnn
+    result = session_infer(
+        model,
+        tiny_images,
+        input_shape=input_shape,
+        bits=4,
+        executor=executor,
+        workers=2,
+        backend=backend,
     )
     assert np.array_equal(result.logits, baseline.logits)
     assert result.checksum == baseline.checksum
@@ -49,22 +59,53 @@ def test_logits_and_stats_byte_identical(
         assert left.checksum == right.checksum
 
 
-def test_executors_agree_on_residual_topology(resnet18_narrow, images_rng):
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pipelined_matches_layer_sync_baseline(
+    tiny_cnn, tiny_images, baseline, session_infer, executor, backend
+):
+    """The pipelined discipline takes the same dispatch path per image."""
+    model, input_shape = tiny_cnn
+    result = session_infer(
+        model,
+        tiny_images,
+        input_shape=input_shape,
+        bits=4,
+        executor=executor,
+        workers=2,
+        backend=backend,
+        pipeline=True,
+    )
+    assert result.execution.mode == "pipelined"
+    assert np.array_equal(result.logits, baseline.logits)
+    assert result.checksum == baseline.checksum
+    for left, right in zip(result.execution.layers, baseline.execution.layers):
+        assert left.stats == right.stats, f"layer {left.name} diverged"
+        assert left.energy == right.energy
+        assert left.latency == right.latency
+
+
+def test_executors_agree_on_residual_topology(
+    resnet18_narrow, images_rng, session_infer
+):
     """The layer barrier chain holds for residual models too."""
     model, input_shape = resnet18_narrow
     images = images_rng.uniform(0.0, 1.0, size=(1,) + input_shape)
-    serial = run_inference(model, images, bits=4, executor="serial")
-    threaded = run_inference(model, images, bits=4, executor="thread", workers=4)
+    serial = session_infer(
+        model, images, input_shape=input_shape, bits=4, executor="serial"
+    )
+    threaded = session_infer(
+        model, images, input_shape=input_shape, bits=4, executor="thread", workers=4
+    )
     assert np.array_equal(serial.logits, threaded.logits)
     assert serial.execution.total_stats == threaded.execution.total_stats
 
 
-def test_micro_batch_interleaving_deterministic(tiny_cnn, tiny_images):
+def test_micro_batch_interleaving_deterministic(tiny_cnn, tiny_images, session_infer):
     """Chunked pool execution reproduces the one-shot batch exactly."""
-    model, _ = tiny_cnn
-    whole = run_inference(model, tiny_images, bits=4, executor="thread", workers=2)
-    chunked = run_inference(
-        model, tiny_images, bits=4, executor="thread", workers=2, batch=1
-    )
+    model, input_shape = tiny_cnn
+    config = dict(input_shape=input_shape, bits=4, executor="thread", workers=2)
+    whole = session_infer(model, tiny_images, **config)
+    chunked = session_infer(model, tiny_images, batch=1, **config)
     assert np.array_equal(whole.logits, chunked.logits)
     assert whole.execution.total_stats == chunked.execution.total_stats

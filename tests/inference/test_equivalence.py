@@ -10,85 +10,100 @@ import numpy as np
 import pytest
 
 from repro.errors import CompilationError
-from repro.inference import (
-    BatchedInference,
-    quantized_reference_forward,
-    run_inference,
-)
+from repro.inference import BatchedInference, quantized_reference_forward
 from repro.perf.model import crosscheck_execution
 
 
 class TestLogitsMatchReference:
-    def test_vgg9_topology_byte_identical(self, vgg9_narrow, images_rng):
+    def test_vgg9_topology_byte_identical(
+        self, vgg9_narrow, images_rng, session_infer
+    ):
         model, input_shape = vgg9_narrow
         images = images_rng.uniform(0.0, 1.0, size=(2,) + input_shape)
         reference = quantized_reference_forward(model, images, bits=4)
-        result = run_inference(model, images, bits=4)
+        result = session_infer(model, images, input_shape=input_shape, bits=4)
         assert result.logits.shape == (2, 10)
         assert np.array_equal(result.logits, reference)
 
-    def test_resnet18_topology_byte_identical(self, resnet18_narrow, images_rng):
+    def test_resnet18_topology_byte_identical(
+        self, resnet18_narrow, images_rng, session_infer
+    ):
         model, input_shape = resnet18_narrow
         images = images_rng.uniform(0.0, 1.0, size=(2,) + input_shape)
         reference = quantized_reference_forward(
             model, images, bits=4, input_shape=input_shape
         )
-        result = run_inference(model, images, bits=4, input_shape=input_shape)
+        result = session_infer(model, images, input_shape=input_shape, bits=4)
         assert result.logits.shape == (2, 10)
         assert np.array_equal(result.logits, reference)
 
-    def test_8bit_activations(self, tiny_cnn, images_rng):
+    def test_8bit_activations(self, tiny_cnn, images_rng, session_infer):
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(1,) + input_shape)
         reference = quantized_reference_forward(model, images, bits=8)
-        result = run_inference(model, images, bits=8)
+        result = session_infer(model, images, input_shape=input_shape, bits=8)
         assert np.array_equal(result.logits, reference)
 
-    def test_registry_name_entry_point(self, images_rng):
-        """run_inference accepts a registry model name (width-scaled)."""
+    def test_registry_name_entry_point(self, images_rng, session_infer):
+        """A session accepts a registry model name (width-scaled)."""
         images = images_rng.uniform(0.0, 1.0, size=(1, 3, 32, 32))
-        result = run_inference(
+        result = session_infer(
             "vgg9", images, bits=4, width=1 / 32, sparsity=0.85, rng=0
         )
         assert result.model == "vgg9"
         assert result.logits.shape == (1, 10)
 
-    def test_single_unbatched_image(self, tiny_cnn, images_rng):
+    def test_single_unbatched_image(self, tiny_cnn, images_rng, session_infer):
         model, input_shape = tiny_cnn
         image = images_rng.uniform(0.0, 1.0, size=input_shape)
-        result = run_inference(model, image, bits=4)
+        result = session_infer(model, image, input_shape=input_shape, bits=4)
         assert result.images == 1
         assert result.logits.shape == (1, 10)
 
 
 class TestBatchedExecution:
-    def test_batch_equals_per_image(self, tiny_cnn, images_rng):
+    def test_batch_equals_per_image(self, tiny_cnn, images_rng, session_infer):
         """Per-image quantization makes the batch a set of independent streams."""
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(3,) + input_shape)
-        batched = run_inference(model, images, bits=4)
+        batched = session_infer(model, images, input_shape=input_shape, bits=4)
         one_by_one = np.concatenate(
-            [run_inference(model, images[i], bits=4).logits for i in range(3)]
+            [
+                session_infer(
+                    model, images[i], input_shape=input_shape, bits=4
+                ).logits
+                for i in range(3)
+            ]
         )
         assert np.array_equal(batched.logits, one_by_one)
 
-    def test_micro_batching_byte_identical(self, tiny_cnn, images_rng):
+    def test_micro_batching_byte_identical(
+        self, tiny_cnn, images_rng, session_infer
+    ):
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(4,) + input_shape)
-        whole = run_inference(model, images, bits=4)
-        chunked = run_inference(model, images, bits=4, batch=2)
+        whole = session_infer(model, images, input_shape=input_shape, bits=4)
+        chunked = session_infer(
+            model, images, batch=2, input_shape=input_shape, bits=4
+        )
         assert np.array_equal(whole.logits, chunked.logits)
         assert whole.execution.total_stats == chunked.execution.total_stats
         assert whole.checksum == chunked.checksum
 
-    def test_counters_scale_with_batch(self, tiny_cnn, images_rng):
+    def test_counters_scale_with_batch(self, tiny_cnn, images_rng, session_infer):
         """Search phases are data-independent: N images charge exactly N x."""
         model, input_shape = tiny_cnn
-        one = run_inference(
-            model, images_rng.uniform(0.0, 1.0, size=(1,) + input_shape), bits=4
+        one = session_infer(
+            model,
+            images_rng.uniform(0.0, 1.0, size=(1,) + input_shape),
+            input_shape=input_shape,
+            bits=4,
         )
-        three = run_inference(
-            model, images_rng.uniform(0.0, 1.0, size=(3,) + input_shape), bits=4
+        three = session_infer(
+            model,
+            images_rng.uniform(0.0, 1.0, size=(3,) + input_shape),
+            input_shape=input_shape,
+            bits=4,
         )
         assert (
             three.execution.total_stats.search_phases
@@ -147,63 +162,6 @@ class TestBatchedWaveOnTopologies:
                 )
 
 
-class TestHostDataflowModes:
-    """Wave-native vs per-image host staging: one dataflow, two schedules.
-
-    ``REPRO_HOST_DATAFLOW`` selects how the host feeds the batched backend -
-    fused quantize/lower/stage with operand views (``wave``, the default) or
-    the legacy per-(image, tile) payload fan-out (``per-image``).  Both must
-    produce byte-identical logits, checksums and per-layer CAMStats on every
-    benchmark topology and executor.
-    """
-
-    @staticmethod
-    def _run(model, input_shape, images, mode, monkeypatch, **kwargs):
-        monkeypatch.setenv("REPRO_HOST_DATAFLOW", mode)
-        driver = BatchedInference(
-            model, input_shape, bits=4, backend="batched", **kwargs
-        )
-        try:
-            return driver.run(images)
-        finally:
-            driver.close()
-
-    @pytest.mark.parametrize(
-        "fixture_name", ["tiny_cnn", "vgg9_narrow", "resnet18_narrow"]
-    )
-    def test_wave_matches_per_image(
-        self, request, fixture_name, images_rng, monkeypatch
-    ):
-        model, input_shape = request.getfixturevalue(fixture_name)
-        images = images_rng.uniform(0.0, 1.0, size=(3,) + input_shape)
-        legacy = self._run(model, input_shape, images, "per-image", monkeypatch)
-        for mode in (
-            {"executor": "serial"},
-            {"executor": "thread", "workers": 2},
-        ):
-            wave = self._run(
-                model, input_shape, images, "wave", monkeypatch, **mode
-            )
-            label = f"wave {mode}"
-            assert np.array_equal(wave.logits, legacy.logits), label
-            assert wave.checksum == legacy.checksum, label
-            assert (
-                wave.execution.total_stats == legacy.execution.total_stats
-            ), label
-            for left, right in zip(
-                wave.execution.layers, legacy.execution.layers
-            ):
-                assert left.stats == right.stats, (
-                    f"{label}: layer {left.name} diverged"
-                )
-
-    def test_unknown_mode_rejected(self, tiny_cnn, monkeypatch):
-        model, input_shape = tiny_cnn
-        monkeypatch.setenv("REPRO_HOST_DATAFLOW", "sideways")
-        with pytest.raises(Exception):
-            BatchedInference(model, input_shape, bits=4, backend="batched")
-
-
 class TestRuntimeIntegration:
     def test_cost_model_crosscheck(self, tiny_cnn, images_rng):
         model, input_shape = tiny_cnn
@@ -235,10 +193,12 @@ class TestRuntimeIntegration:
         assert sum(cost.bits for cost in movement.values()) > 0
         assert result.store.total_activation_bits > 0
 
-    def test_activation_store_buffers(self, tiny_cnn, images_rng):
+    def test_activation_store_buffers(self, tiny_cnn, images_rng, session_infer):
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(2,) + input_shape)
-        result = run_inference(model, images, bits=4, keep_activations=True)
+        result = session_infer(
+            model, images, input_shape=input_shape, bits=4, keep_activations=True
+        )
         layers = result.store.layers()
         assert len(layers) == 3  # two convs + fc
         for entry in layers:

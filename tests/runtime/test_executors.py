@@ -163,3 +163,65 @@ class TestExecutorEquivalence:
             ]
         finally:
             executor.close()
+
+
+class TestMapWave:
+    """``map_wave`` splits per-instance backends into contiguous chunks."""
+
+    @staticmethod
+    def _wave(instances=7, rows=5):
+        from repro.ap.backends import StagedWaveInputs
+        from repro.ap.backends.harness import random_inputs
+        from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
+
+        a = ColumnRegion(column=1, width=6)
+        b = ColumnRegion(column=2, width=6)
+        dest = ColumnRegion(column=3, width=6)
+        program = APProgram(name="add", carry_column=0)
+        program.input_columns = {"a": a, "b": b}
+        program.output_columns = {"y": dest}
+        program.append(
+            APInstruction(opcode=APOpcode.ADD_OUTOFPLACE, dest=dest, src_a=a, src_b=b)
+        )
+        rng = np.random.default_rng(5)
+        inputs = [random_inputs(program, rows, rng) for _ in range(instances)]
+        staged = StagedWaveInputs(
+            instances,
+            rows,
+            values=[{name: np.stack([i[name] for i in inputs]) for name in ("a", "b")}],
+        )
+        return [program], staged, rows
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("executor", ["thread", "parallel"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunked_pool_matches_serial(self, backend, executor, workers):
+        programs, staged, rows = self._wave()
+        expected = SerialExecutor().map_wave(backend, programs, staged, rows, 8)
+        pool = resolve_executor(executor, workers=workers)
+        try:
+            results = pool.map_wave(backend, programs, staged, rows, 8)
+        finally:
+            pool.close()
+        assert len(results) == staged.instances == 7
+        for got, want in zip(results, expected):
+            assert got.stats == want.stats
+            assert got.checksum == want.checksum
+            assert np.array_equal(got.outputs, want.outputs)
+
+    def test_native_wave_runs_in_calling_thread(self, monkeypatch):
+        programs, staged, rows = self._wave()
+        pool = resolve_executor("thread", workers=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a native wave must not fan out over the pool")
+
+        monkeypatch.setattr(pool, "map_tasks", no_pool)
+        try:
+            native = pool.map_wave("batched", programs, staged, rows, 8)
+        finally:
+            pool.close()
+        expected = SerialExecutor().map_wave("vectorized", programs, staged, rows, 8)
+        for got, want in zip(native, expected):
+            assert got.stats == want.stats
+            assert np.array_equal(got.outputs, want.outputs)

@@ -15,6 +15,7 @@ class TestClusterConfig:
         assert derived.model == cluster_config.model
         assert derived.width == cluster_config.width
         assert derived.seed == cluster_config.seed
+        assert derived.rng == cluster_config.seed
         # Workers never trace/record on their own: spans are shipped back.
         assert derived.trace is False
         assert derived.metrics is False
@@ -46,6 +47,20 @@ class TestClusterConfig:
 
 
 class TestByteIdentity:
+    def test_seed_drives_the_served_weights(self):
+        """A non-default seed reaches the weight rng, not only the plan."""
+        from repro.session import Session
+
+        config = dict(SERVING_CONFIG, seed=3)
+        images = make_images(2)
+        with Session(rng=3, **config) as session:
+            session.compile().deploy()
+            reference = session.infer(images).logits
+        with Cluster(ClusterConfig(replicas=1, **config)) as cluster:
+            cluster.start()
+            result = cluster.infer(images)
+        assert result.logits.tobytes() == reference.tobytes()
+
     def test_infer_matches_single_process_session(
         self, cluster, reference_logits
     ):

@@ -379,43 +379,15 @@ class TestErrorPaths:
 
 
 class TestDeprecationShims:
-    def test_run_inference_warns_and_matches_session(self, tiny_cnn, images_rng):
-        from repro.inference import run_inference
-
-        model, input_shape = tiny_cnn
-        images = images_rng.uniform(0, 1, (2,) + input_shape)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            legacy = run_inference(model, images, bits=4)
-        with make_session(tiny_cnn) as session:
-            session.compile().deploy()
-            modern = session.infer(images)
-        # Byte-identical logits and CAM counters between old and new paths.
-        assert np.array_equal(legacy.logits, modern.logits)
-        assert legacy.execution.total_stats == modern.execution.total_stats
-        assert legacy.checksum == modern.checksum
-
-    def test_top_level_crosscheck_execution_warns(self, tiny_cnn, images_rng):
-        import repro
-
-        model, input_shape = tiny_cnn
-        images = images_rng.uniform(0, 1, (1,) + input_shape)
-        with make_session(tiny_cnn) as session:
-            session.compile().deploy()
-            result = session.infer(images)
-            with pytest.warns(DeprecationWarning, match="Session.crosscheck"):
-                check = repro.crosscheck_execution(
-                    session.plan, result.execution, images=result.images
-                )
-        assert check.consistent, check.describe()
+    """What the removed one-call shims offered now goes through Session."""
 
     def test_registry_name_still_works_through_shim(self, images_rng):
-        from repro.inference import run_inference
-
         images = images_rng.uniform(0, 1, (1, 3, 32, 32))
-        with pytest.warns(DeprecationWarning):
-            result = run_inference(
-                "vgg9", images, bits=4, width=1 / 32, sparsity=0.85, rng=0
-            )
+        with Session(
+            model="vgg9", bits=4, width=1 / 32, sparsity=0.85, rng=0
+        ) as session:
+            session.compile().deploy()
+            result = session.infer(images)
         assert result.model == "vgg9"
         assert result.logits.shape == (1, 10)
 

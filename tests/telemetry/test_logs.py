@@ -54,10 +54,11 @@ class TestConfigureLogging:
 class TestBatchedDeclineLogging:
     def test_wave_decline_is_logged(self):
         """The batched backend's fallback is diagnosable, not silent."""
-        from repro.ap.backends.batched import execute_program_wave
+        from repro.ap.backends.batched import StagedWaveInputs, execute_program_wave
 
         stream = io.StringIO()
         configure_logging(level="DEBUG", stream=stream)
         # rows < 1 is an unambiguous decline.
-        assert execute_program_wave([], [[]], 0, 8) is None
+        staged = StagedWaveInputs(1, 0, values=[])
+        assert execute_program_wave([], staged, 0, 8) is None
         assert "wave declined" in stream.getvalue()
