@@ -18,9 +18,9 @@ Available backends:
   The default.
 * ``batched`` - the vectorized semantics plus a native whole-layer *wave*
   kernel (:func:`repro.ap.backends.batched.execute_program_wave`): every
-  (image, row tile) instance of a layer group is stacked into one bit
-  tensor and the shared instruction stream is evaluated once - one batch of
-  NumPy calls per instruction for the whole group.  The fastest choice for
+  (image, row tile) instance of a layer group shares one word register file
+  and each hazard-free level of the shared program runs as one gather ->
+  compute -> scatter for the whole group.  The fastest choice for
   batched inference; per-instruction behaviour is identical to
   ``vectorized``.
 

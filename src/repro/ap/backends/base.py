@@ -20,9 +20,10 @@ Three backends ship with the library:
 * ``batched`` (:class:`~repro.ap.backends.batched.BatchedBackend`) - the
   vectorized semantics plus a native *wave* kernel
   (:func:`~repro.ap.backends.batched.execute_program_wave`): all (image, row
-  tile) instances of one layer are stacked into a single bit tensor and the
-  shared instruction stream is evaluated once across the whole wave, with
-  per-instance counters charged from one batched truth-tensor histogram.
+  tile) instances of one layer share one word register file (one word per
+  nanowire) and each hazard-free level of the shared program runs once
+  across the whole wave, with per-instance counters charged from popcounts
+  of the LUT passes' minterm words.
 
 Whole layers reach a backend through one device contract,
 :meth:`ExecutionBackend.execute_wave`: one tile's programs run for every
@@ -58,9 +59,9 @@ class StagedWaveInputs:
       layer's staged operand tensor.
     * ``planes[j][name]`` - ``(instances, rows, width)`` uint8 bit planes,
       pre-unpacked once per layer (see
-      :func:`repro.ap.backends.packing.unpack_bits`): a native wave copies
-      planes straight into its stacked state tensor, skipping the per-load
-      unpack.  ``width`` must equal the load region's width (pre-flight via
+      :func:`repro.ap.backends.packing.unpack_bits`): a native wave packs
+      each program's planes into its register words in one product per
+      load width.  ``width`` must equal the load region's width (pre-flight via
       :func:`~repro.ap.backends.batched.wave_staging_plan`).
     """
 

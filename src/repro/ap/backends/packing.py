@@ -16,10 +16,11 @@ once:
 * :func:`pack_planes` - bit planes back to sign-extended words (one matrix
   product plus a sign correction), the fast path of every region readout.
 
-Keeping activations in the plane form between the host quantizer and the
-CAM write is what lets :func:`~repro.ap.backends.batched.execute_program_wave`
-skip the per-payload unpack: the host unpacks each layer's codes once, the
-wave's loads then copy planes straight into the stacked state tensor.
+The host unpacks each layer's codes to planes once (the staged form of
+:class:`~repro.ap.backends.base.StagedWaveInputs`); the per-instance
+backends pack them back per tile, and
+:func:`~repro.ap.backends.batched.execute_program_wave` packs a whole
+program's loads into its register words at once.
 """
 
 from __future__ import annotations

@@ -233,9 +233,9 @@ def lower_batch_planes(
     unpacks to zero planes, and im2col only copies values, so unpack and
     lowering commute bit for bit).  Downstream, every ``(image, tile)``
     instance slices views of this one tensor and
-    :func:`~repro.ap.backends.batched.execute_program_wave` copies the
-    planes directly into the stacked CAM state - no per-payload gather, no
-    per-load unpack.
+    :func:`~repro.ap.backends.batched.execute_program_wave` packs a
+    program's planes into its register words in one product per load width
+    - no per-payload gather.
 
     Returns:
         uint8 array of shape ``(N, Cin, width, Fh*Fw, Hout*Wout)``.

@@ -14,6 +14,7 @@ declines (returns ``None``) so its backend falls back per instance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ap.backends import (
     DEFAULT_BACKEND,
@@ -788,3 +789,309 @@ class TestStagedWaveExecution:
         assert len(declines) == 1
         assert declines[0].args["reason"] == "program-lowering"
         assert sum(event.name == "device.tile" for event in events) == 3
+
+
+# ----------------------------------------------------------------------
+# Generated differential coverage of the level-fused wave kernel
+# ----------------------------------------------------------------------
+#: Every non-carry column holds regions at two domain offsets, so operands
+#: of one column share a register word; the low one has two widths, so the
+#: wider view reads the bits a narrow write leaves stale.
+_HIGH_OFFSET = 24
+
+
+@st.composite
+def _wave_region_pool(draw, columns):
+    pool = []
+    for column in range(1, columns):
+        for offset, views in ((0, 2), (_HIGH_OFFSET, 1)):
+            widths = draw(
+                st.lists(st.integers(1, 8), min_size=views, max_size=views, unique=True)
+            )
+            pool.extend(
+                ColumnRegion(column=column, width=width, domain_offset=offset)
+                for width in widths
+            )
+    return pool
+
+
+def _some_of(regions, max_size):
+    """Up to ``max_size`` of ``regions`` on distinct columns."""
+    if not regions:
+        return st.just([])
+    return st.lists(
+        st.sampled_from(regions),
+        max_size=max_size,
+        unique_by=lambda region: region.column,
+    )
+
+
+@st.composite
+def _wave_instruction(draw, pool, carry_regions):
+    kind = draw(
+        st.sampled_from(
+            ["add", "sub", "add_inplace", "sub_inplace", "copy", "clear"]
+        )
+    )
+    if kind in ("copy", "clear"):
+        targets = pool + carry_regions
+        dest = draw(st.sampled_from(targets))
+        if kind == "clear":
+            extra = draw(st.lists(st.sampled_from(targets), max_size=2))
+            return APInstruction(
+                opcode=APOpcode.CLEAR, dest=dest, extra_dests=tuple(extra)
+            )
+        src = draw(
+            st.sampled_from([r for r in targets if r.column != dest.column])
+        )
+        extras = draw(
+            _some_of([r for r in pool if r.column not in (src.column, dest.column)], 1)
+        )
+        return APInstruction(
+            opcode=APOpcode.COPY, dest=dest, src_a=src, extra_dests=tuple(extras)
+        )
+    src_a = draw(st.sampled_from(pool))
+    src_b = draw(st.sampled_from([r for r in pool if r.column != src_a.column]))
+    if kind.endswith("inplace"):
+        opcode = APOpcode.ADD_INPLACE if kind == "add_inplace" else APOpcode.SUB_INPLACE
+        # In-place adds may overwrite either source (the src_a swap).
+        over_a = kind == "add_inplace" and draw(st.booleans())
+        return APInstruction(
+            opcode=opcode, dest=src_a if over_a else src_b, src_a=src_a, src_b=src_b
+        )
+    sources = (src_a.column, src_b.column)
+    dest = draw(st.sampled_from([r for r in pool if r.column not in sources]))
+    # Extra destinations on distinct columns; narrower ones exercise the
+    # stale-bit blend above their width.
+    extras = draw(
+        _some_of([r for r in pool if r.column not in sources + (dest.column,)], 2)
+    )
+    opcode = APOpcode.ADD_OUTOFPLACE if kind == "add" else APOpcode.SUB_OUTOFPLACE
+    return APInstruction(
+        opcode=opcode, dest=dest, src_a=src_a, src_b=src_b, extra_dests=tuple(extras)
+    )
+
+
+@st.composite
+def _wave_program(draw, pool, carry_regions, name):
+    program = APProgram(name=name, carry_column=0)
+    inputs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    program.input_columns = {f"x{index}": region for index, region in enumerate(inputs)}
+    for _ in range(draw(st.integers(1, 10))):
+        program.append(draw(_wave_instruction(pool, carry_regions)))
+    # Every region is read back (so any stale or misplaced bit shows), a few
+    # names alias one region, any may be negated, and the carry column is
+    # readable like any other.
+    outputs = pool + carry_regions + draw(
+        st.lists(st.sampled_from(pool + carry_regions), max_size=3)
+    )
+    program.output_columns = {
+        f"y{index}": region for index, region in enumerate(outputs)
+    }
+    program.output_negated = {
+        name: draw(st.booleans()) for name in program.output_columns
+    }
+    return program
+
+
+@st.composite
+def _wave_case(draw):
+    columns = draw(st.integers(4, 7))
+    pool = draw(_wave_region_pool(columns))
+    carry_regions = [
+        ColumnRegion(column=0, width=1),
+        ColumnRegion(column=0, width=draw(st.integers(1, 4)), domain_offset=40),
+    ]
+    programs = [
+        draw(_wave_program(pool, carry_regions, f"p{index}"))
+        for index in range(draw(st.integers(1, 3)))
+    ]
+    rows = draw(st.integers(1, 6))
+    instances = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return programs, columns, rows, instances, seed
+
+
+class TestLevelFusedWaveDifferential:
+    """Generated programs that hit every level hazard, run on the batched
+    wave and on the reference interpreter per instance.
+
+    The generator draws RAW chains and WAR pairs over few columns, two
+    operands per column at different domain offsets, in-place ops writing
+    over ``src_a``, narrow extra destinations, COPY and CLEAR (also on the
+    carry column), aliased and negated output names, and up to three
+    programs back to back (ports carry over).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_wave_case())
+    def test_matches_reference_per_instance(self, case):
+        from repro.ap.backends import batched as batched_module
+
+        programs, columns, rows, instances, seed = case
+        rng = np.random.default_rng(seed)
+        inputs = [
+            [random_inputs(program, rows, rng) for program in programs]
+            for _ in range(instances)
+        ]
+        staged = staged_values(inputs, rows)
+        baseline = per_instance_wave_baseline(
+            programs, inputs, rows, columns, backend="reference"
+        )
+        wave = execute_program_wave(programs, staged, rows, columns)
+        assert wave is not None, "generated shapes are all wave-eligible"
+        assert_wave_matches_baseline(wave, baseline)
+        planes = staged_planes(programs, inputs, rows, columns)
+        assert_waves_identical(
+            wave, execute_program_wave(programs, planes, rows, columns)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batched_module, "_MAX_WAVE_STATE_BYTES", 1)
+            chunked = execute_program_wave(programs, staged, rows, columns)
+        assert chunked is not None
+        assert_wave_matches_baseline(chunked, baseline)
+
+
+    def test_narrow_extra_keeps_stale_bits_in_unfired_rows(self, rng):
+        """A wider view of a narrow extra destination's column reads the
+        stale bits the blend must keep above the extra's width."""
+        wide = ColumnRegion(column=3, width=8)
+        program = single_instruction_program(
+            APInstruction(
+                opcode=APOpcode.ADD_OUTOFPLACE,
+                dest=ColumnRegion(column=4, width=6),
+                src_a=ColumnRegion(column=1, width=5),
+                src_b=ColumnRegion(column=2, width=5),
+                extra_dests=(ColumnRegion(column=3, width=2),),
+            ),
+            {"a": ColumnRegion(column=1, width=5), "b": ColumnRegion(column=2, width=5),
+             "old": wide},
+            {"wide": wide},
+        )
+        rows = 16
+        inputs = [[random_inputs(program, rows, rng)] for _ in range(3)]
+        wave = execute_program_wave([program], staged_values(inputs, rows), rows, 6)
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave,
+            per_instance_wave_baseline([program], inputs, rows, 6, backend="reference"),
+        )
+
+
+def _levels(instructions, inputs=None, outputs=None, columns=8):
+    """Level op indices of a one-program wave lowering."""
+    from repro.ap.backends.batched import compile_program_wave
+
+    program = APProgram(name="levels", carry_column=0)
+    program.input_columns = inputs or {}
+    program.output_columns = outputs or {}
+    for instruction in instructions:
+        program.append(instruction)
+    lowered = compile_program_wave(program, columns, 64)
+    assert lowered is not None
+    return [list(level) for level in lowered.levels], lowered
+
+
+def _col(column, width=6, offset=0):
+    return ColumnRegion(column=column, width=width, domain_offset=offset)
+
+
+def _add(dest, a, b):
+    return APInstruction(
+        opcode=APOpcode.ADD_OUTOFPLACE, dest=_col(dest), src_a=_col(a), src_b=_col(b)
+    )
+
+
+class TestLevelBuilder:
+    """Hazard-free level grouping of the wave lowering."""
+
+    def test_independent_ops_share_one_level(self):
+        levels, _ = _levels([_add(3, 1, 2), _add(4, 1, 2), _add(5, 1, 2)])
+        assert levels == [[0, 1, 2]]
+
+    def test_raw_chain_spans_one_level_per_op(self):
+        chain = [_add(3, 1, 2), _add(4, 3, 2), _add(5, 4, 2), _add(6, 5, 1)]
+        levels, _ = _levels(chain)
+        assert levels == [[0], [1], [2], [3]]
+
+    def test_war_shares_a_level(self):
+        # Op 1 overwrites column 1 after op 0 read it: operands are gathered
+        # before anything is scattered, so both run in one level.
+        levels, _ = _levels([_add(3, 1, 2), _add(1, 4, 5)])
+        assert levels == [[0, 1]]
+
+    def test_waw_splits_levels(self):
+        levels, _ = _levels([_add(3, 1, 2), _add(3, 4, 5)])
+        assert levels == [[0], [1]]
+
+    def test_same_column_other_offset_is_a_hazard(self):
+        high = _col(1, offset=_HIGH_OFFSET)
+        copy = APInstruction(opcode=APOpcode.COPY, dest=high, src_a=_col(4))
+        levels, _ = _levels([copy, _add(3, 1, 2)])
+        assert levels == [[0], [1]]
+
+    def test_carry_column_adds_no_hazard_between_arith_ops(self):
+        inplace = APInstruction(
+            opcode=APOpcode.SUB_INPLACE, dest=_col(5), src_a=_col(4), src_b=_col(5)
+        )
+        levels, lowered = _levels([_add(3, 1, 2), inplace, _add(6, 1, 2)])
+        assert levels == [[0, 1, 2]]
+        assert lowered.survivors == (2,)
+
+    def test_copy_from_carry_column_waits_for_the_carry(self):
+        carry_copy = APInstruction(
+            opcode=APOpcode.COPY, dest=_col(6, width=1), src_a=_col(0, width=1)
+        )
+        levels, lowered = _levels([_add(3, 1, 2), _add(4, 1, 2), carry_copy])
+        assert levels == [[0, 1], [2]]
+        assert lowered.survivors == (1,)
+
+    def test_clear_of_carry_column_orders_the_arith_around_it(self):
+        clear = APInstruction(opcode=APOpcode.CLEAR, dest=_col(0, width=1))
+        levels, lowered = _levels([_add(3, 1, 2), clear, _add(4, 1, 2)])
+        assert levels == [[0], [1], [2]]
+        assert lowered.survivors == (0, 2)
+        without, _ = _levels([_add(3, 1, 2), _add(4, 1, 2)])
+        assert without == [[0, 1]]
+
+    def test_carry_output_reads_the_last_op_in_program_order(self, rng):
+        """Op 0 runs in a later level than op 2, but op 2 is the last
+        arithmetic op, so its carry-out is what an output on the carry
+        column reads - exactly as on the interpreter."""
+        instructions = [_add(3, 1, 2), _add(4, 3, 2), _add(5, 1, 2)]
+        inputs = {"a": _col(1), "b": _col(2)}
+        outputs = {"carry": _col(0, width=1), "y": _col(4)}
+        levels, lowered = _levels(instructions, inputs, outputs)
+        assert levels == [[0, 2], [1]]
+        assert lowered.survivors == (2,)
+        program = APProgram(name="carry-out", carry_column=0)
+        program.input_columns, program.output_columns = inputs, outputs
+        for instruction in instructions:
+            program.append(instruction)
+        rows = 8
+        batch = [[random_inputs(program, rows, rng)] for _ in range(3)]
+        wave = execute_program_wave([program], staged_values(batch, rows), rows, 8)
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave,
+            per_instance_wave_baseline([program], batch, rows, 8, backend="reference"),
+        )
+
+    def test_resnet18_level_count(self):
+        """Pins the fusion the compiler hands the kernel: a later compiler
+        change that moves it shows up here (and in the ``backend.wave``
+        span's ``ops``/``levels`` arguments, which this reads)."""
+        from repro.session import Session
+
+        session = Session(
+            model="resnet18", width=1 / 8, rng=7, bits=4, backend="batched"
+        )
+        session.compile().deploy()
+        images = np.random.default_rng(0).random((1,) + tuple(session.input_shape))
+        with telemetry.capture() as tracer:
+            session.infer(images)
+            events = tracer.drain()
+        waves = list(telemetry.iter_spans(events, "backend.wave"))
+        assert len(waves) == 30
+        assert sum(event.args["ops"] for event in waves) == 14733
+        assert sum(event.args["levels"] for event in waves) == 1674
