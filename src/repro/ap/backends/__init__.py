@@ -26,8 +26,10 @@ Available backends:
 
 Whole layers reach every backend through one device contract,
 :meth:`ExecutionBackend.execute_wave` over host-staged
-:class:`StagedWaveInputs`; the inference engine dispatches it through
-:meth:`repro.runtime.executors.Executor.map_wave`.
+:class:`StagedWaveInputs` (one ``(instances, rows)`` integer batch per
+operand); the inference engine dispatches it through
+:meth:`repro.runtime.executors.Executor.map_wave`, or calls the batched
+kernel directly for layers that passed its deploy-time pre-flight.
 
 The default can be overridden with the ``REPRO_AP_BACKEND`` environment
 variable (CI uses ``REPRO_AP_BACKEND=reference`` to run the whole suite on

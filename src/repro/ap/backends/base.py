@@ -27,9 +27,11 @@ Three backends ship with the library:
 
 Whole layers reach a backend through one device contract,
 :meth:`ExecutionBackend.execute_wave`: one tile's programs run for every
-instance of a host-staged :class:`StagedWaveInputs` batch.  The default runs
-one fresh AP per instance; backends with ``supports_program_wave`` override
-it with a native kernel that must return byte-identical results.
+instance of a host-staged :class:`StagedWaveInputs` batch, whose operands
+are ``(instances, rows)`` integer batches.  The default
+(:meth:`ExecutionBackend.execute_instances`) runs one fresh AP per instance;
+backends with ``supports_program_wave`` override it with a native kernel
+that must return byte-identical results.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import ClassVar, Dict, List, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.ap.backends.packing import pack_planes
 from repro.ap.isa import APInstruction, APProgram, ColumnRegion
 from repro.cam.array import CAMArray
 from repro.cam.stats import CAMStats
@@ -51,64 +52,38 @@ from repro.rtm.timing import RTMTechnology
 class StagedWaveInputs:
     """Operand batches staged by the host for one wave group.
 
-    Exactly one of ``values``/``planes`` is given, each one entry per
-    program:
-
-    * ``values[j][name]`` - ``(instances, rows)`` integer batch: every
-      instance's operand rows as views (or one vectorized gather) of the
-      layer's staged operand tensor.
-    * ``planes[j][name]`` - ``(instances, rows, width)`` uint8 bit planes,
-      pre-unpacked once per layer (see
-      :func:`repro.ap.backends.packing.unpack_bits`): a native wave packs
-      each program's planes into its register words in one product per
-      load width.  ``width`` must equal the load region's width (pre-flight via
-      :func:`~repro.ap.backends.batched.wave_staging_plan`).
+    ``values[j][name]`` is program ``j``'s operand ``name`` as one
+    ``(instances, rows)`` integer batch: every instance's operand rows as
+    views (or one vectorized gather) of the layer's lowered operand tensor.
+    A native wave writes each batch into its register words as is; the
+    per-instance loop hands ``batch[instance]`` to the AP's load.
     """
 
-    __slots__ = ("instances", "rows", "values", "planes")
+    __slots__ = ("instances", "rows", "values")
 
     def __init__(
-        self,
-        instances: int,
-        rows: int,
-        values: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
-        planes: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
+        self, instances: int, rows: int, values: Sequence[Mapping[str, np.ndarray]]
     ) -> None:
-        if (values is None) == (planes is None):
-            raise ValueError("StagedWaveInputs takes exactly one of values/planes")
         self.instances = instances
         self.rows = rows
         self.values = values
-        self.planes = planes
 
     def __len__(self) -> int:
         return self.instances
 
     def slice(self, start: int, stop: int) -> "StagedWaveInputs":
         """The instances ``start:stop`` as their own batch (views, no copy)."""
-
-        def cut(entries):
-            return [
+        return StagedWaveInputs(
+            stop - start,
+            self.rows,
+            [
                 {name: batch[start:stop] for name, batch in program.items()}
-                for program in entries
-            ]
-
-        if self.planes is not None:
-            return StagedWaveInputs(stop - start, self.rows, planes=cut(self.planes))
-        return StagedWaveInputs(stop - start, self.rows, values=cut(self.values))
+                for program in self.values
+            ],
+        )
 
     def instance_inputs(self, program_index: int, instance: int) -> Dict[str, np.ndarray]:
-        """One instance's ``{name: row vector}`` operands for one program.
-
-        Plane batches are packed back to two's complement words, so both
-        forms feed :meth:`~repro.ap.core.AssociativeProcessor.run_program`
-        the same integers.
-        """
-        if self.planes is not None:
-            return {
-                name: pack_planes(batch[instance])
-                for name, batch in self.planes[program_index].items()
-            }
+        """One instance's ``{name: row vector}`` operands for one program."""
         return {
             name: batch[instance]
             for name, batch in self.values[program_index].items()
@@ -166,10 +141,25 @@ class ExecutionBackend(abc.ABC):
 
         Every instance models a fresh ``rows x columns`` AP executing the
         programs back to back on its own operands - the contract of one tile
-        dispatch.  This default does exactly that, one AP run (and one
-        ``device.tile`` span) per instance; out-of-range or malformed
-        operands raise the AP's own errors.  Returns one
-        :class:`WaveResult` per instance, in instance order.
+        dispatch.  Returns one :class:`WaveResult` per instance, in instance
+        order.  This default is :meth:`execute_instances`; a native kernel
+        overrides it and must return byte-identical results.
+        """
+        return cls.execute_instances(programs, staged, rows, columns, technology)
+
+    @classmethod
+    def execute_instances(
+        cls,
+        programs: Sequence[APProgram],
+        staged: StagedWaveInputs,
+        rows: int,
+        columns: int,
+        technology: Optional[RTMTechnology] = None,
+    ) -> List[WaveResult]:
+        """:meth:`execute_wave` as one AP run per instance, never a kernel.
+
+        One ``device.tile`` span per instance; out-of-range or malformed
+        operands raise the AP's own errors.
         """
         from repro.ap.core import AssociativeProcessor
 

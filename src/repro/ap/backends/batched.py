@@ -55,23 +55,22 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   bit-serial hardware.
 
 Operands arrive host-staged as :class:`~repro.ap.backends.base.StagedWaveInputs`:
-each operand is one ``(instances, rows)`` integer batch or ``(instances,
-rows, width)`` bit planes; both pack into the register file as words and
-produce byte-identical results and counters.  Outputs are read back with
-one gather per program over its distinct output regions, with sign
-extension and negation as arrays and a name -> slot fan-out index.
+each operand is one ``(instances, rows)`` integer batch, written into its
+register words as is (two's complement, cut to the load region).  Outputs
+are read back with one gather per program over its distinct output regions,
+with sign extension and negation as arrays and a name -> slot fan-out
+index.
 
 The kernel :func:`execute_program_wave` is conservative: any program shape
 the vectorized backend would route to its interpreter fallback (operands on
 the carry column, aliasing destinations, >60-bit words), more than 64
 domains per cell, or any malformed input batch declines (returns ``None``).
 :meth:`BatchedBackend.execute_wave` - the backend's side of the device
-contract - then falls back to the per-instance loop of
-:class:`~repro.ap.backends.base.ExecutionBackend`, where the ordinary
-semantics raise the proper errors.  :func:`wave_staging_plan` lets the host
-pre-flight (and pre-lower, levels included) a tile's programs at deploy
-time, so serving requests never pay the lowering cost and the host knows
-the operand widths to stage.
+contract - then falls back to the per-instance loop
+(:meth:`~repro.ap.backends.base.ExecutionBackend.execute_instances`), where
+the ordinary semantics raise the proper errors.  :func:`wave_staging_plan`
+lets the host pre-flight (and pre-lower, levels included) a tile's programs
+at deploy time, so serving requests never pay the lowering cost.
 
 :class:`BatchedBackend` subclasses the vectorized backend, so
 ``backend="batched"`` behaves identically to ``"vectorized"`` for ordinary
@@ -170,7 +169,7 @@ class BatchedBackend(VectorizedBackend):
             programs, staged, rows, columns, technology=technology
         )
         if results is None:
-            results = super().execute_wave(
+            results = cls.execute_instances(
                 programs, staged, rows, columns, technology
             )
         return results
@@ -768,7 +767,6 @@ class _CompiledWaveProgram:
     __slots__ = (
         "loads",
         "load_shared",
-        "load_groups",
         "ops",
         "levels",
         "survivors",
@@ -793,18 +791,6 @@ class _CompiledWaveProgram:
         columns = [region.column for _, region in self.loads]
         #: Loads on distinct columns merge into one masked scatter.
         self.load_shared = len(set(columns)) < len(columns)
-        #: Loads grouped by width: plane batches of one width pack together.
-        groups: Dict[int, List[int]] = {}
-        for index, (_, region) in enumerate(self.loads):
-            groups.setdefault(region.width, []).append(index)
-        self.load_groups = [
-            (
-                width,
-                tuple(self.loads[index][0] for index in indices),
-                np.array(indices, dtype=np.intp),
-            )
-            for width, indices in groups.items()
-        ]
         self.ops = tuple(ops)
         self.levels = tuple(tuple(indices) for indices in levels)
         self.survivors = tuple(survivors)
@@ -934,35 +920,22 @@ def wave_staging_plan(
     columns: int,
     technology: Optional[RTMTechnology] = None,
     carry_column: int = 0,
-) -> Optional[Tuple[List[Dict[str, int]], Optional[int]]]:
+) -> bool:
     """Pre-flight one tile's programs for host-staged wave execution.
 
     Lowers every program for the wave geometry (memoised - calling this at
     deploy time moves the whole lowering cost, level building included, out
-    of the serving window) and returns ``(load_widths, uniform_width)``: per
-    program the operand name -> region width map the host must stage, plus
-    the single shared width when every load agrees (the packed bit-plane
-    fast path).  Returns ``None`` when any program would decline wave
-    execution, so the caller can stage the layer for per-instance execution
-    up front.
+    of the serving window).  Returns whether the tile can run as a native
+    wave: ``False`` when any program would decline, so the caller can
+    dispatch the tile per instance up front.
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
-    if columns < 1:
-        return None
-    load_widths: List[Dict[str, int]] = []
-    widths_seen: set = set()
-    for program in programs:
-        if program.carry_column != carry_column:
-            return None
-        lowered = compile_program_wave(program, columns, domains)
-        if lowered is None:
-            return None
-        widths = {name: region.width for name, region in lowered.loads}
-        widths_seen.update(widths.values())
-        load_widths.append(widths)
-    uniform = widths_seen.pop() if len(widths_seen) == 1 else None
-    return load_widths, uniform
+    return columns >= 1 and all(
+        program.carry_column == carry_column
+        and compile_program_wave(program, columns, domains) is not None
+        for program in programs
+    )
 
 
 # ----------------------------------------------------------------------
@@ -988,34 +961,19 @@ def _sign_extend(
     return words
 
 
-def _planes_to_words(batches: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """Stack ``(instances, rows, width)`` 0/1 plane batches as ``(n,
-    instances, rows)`` unsigned words (one product with ``2**k``)."""
-    dtype = _word_for(width).dtype
-    planes = np.stack(batches).astype(dtype, copy=False)
-    return planes @ (dtype.type(1) << np.arange(width, dtype=dtype))
-
-
 def _load(
     state: np.ndarray,
     lowered: _CompiledWaveProgram,
     kernel: _Kernel,
     provided,
-    planes: bool,
 ) -> None:
     """Place one program's staged operands into the register file."""
     if not lowered.loads:
         return
     words = np.empty((len(lowered.loads),) + state.shape[1:], dtype=state.dtype)
-    if planes:
-        for width, names, positions in lowered.load_groups:
-            words[positions] = _planes_to_words(
-                [provided[name] for name in names], width
-            )
-    else:
-        for index, (name, _) in enumerate(lowered.loads):
-            # Two's complement wrap; the field mask drops the sign copies.
-            words[index] = provided[name]
+    for index, (name, _) in enumerate(lowered.loads):
+        # Two's complement wrap; the field mask drops the sign copies.
+        words[index] = provided[name]
     words <<= kernel.load_shift
     words >>= kernel.load_shift
     if kernel.load_offsets is not None:
@@ -1144,35 +1102,25 @@ def _validate_staged(
     wave, so the backend falls back to per-instance execution where the
     ordinary semantics raise their proper errors.
     """
-    entries = staged.planes if staged.planes is not None else staged.values
-    if len(entries) != len(compiled):
+    if len(staged.values) != len(compiled):
         _decline("malformed-inputs", programs=len(compiled))
         return False
     total = staged.instances
     for program_index, lowered in enumerate(compiled):
-        provided = entries[program_index]
+        provided = staged.values[program_index]
         for name, region in lowered.loads:
             batch = provided.get(name)
             if batch is None:
                 _decline("missing-input", program=program_index)
                 return False
-            if staged.planes is not None:
-                if (
-                    batch.shape != (total, rows, region.width)
-                    or batch.dtype != np.uint8
-                ):
-                    _decline("invalid-input", name=name, program=program_index)
-                    return False
-            else:
-                if batch.shape != (total, rows) or batch.dtype.kind not in "iu":
-                    _decline("invalid-input", name=name, program=program_index)
-                    return False
-                if (
-                    int(batch.min(initial=0)) < min_signed_value(region.width)
-                    or int(batch.max(initial=0)) > max_signed_value(region.width)
-                ):
-                    _decline("invalid-input", name=name, program=program_index)
-                    return False
+            if (
+                batch.shape != (total, rows)
+                or batch.dtype.kind not in "iu"
+                or int(batch.min(initial=0)) < min_signed_value(region.width)
+                or int(batch.max(initial=0)) > max_signed_value(region.width)
+            ):
+                _decline("invalid-input", name=name, program=program_index)
+                return False
     return True
 
 
@@ -1296,8 +1244,6 @@ def _execute_wave_chunk(
     # names sorted within each program), so ``stacked[instance]`` is exactly
     # the per-tile partial-sum matrix the inference reduction consumes.
     stacked = np.empty((instances, total_outputs, rows), dtype=np.int64)
-    planes = staged.planes is not None
-    entries = staged.planes if planes else staged.values
     slot = 0
     for program_index, lowered in enumerate(compiled):
         kernel = lowered.kernel(word)
@@ -1305,7 +1251,7 @@ def _execute_wave_chunk(
         # CAM arithmetic: charge it to the ``host.stage`` ledger so the
         # host/device split stays honest.
         with telemetry.span("host.stage", category="host", mode="wave-load"):
-            _load(state, lowered, kernel, entries[program_index], planes)
+            _load(state, lowered, kernel, staged.values[program_index])
         program_fired = fired[bases[program_index] : bases[program_index + 1]]
         for level in kernel.levels:
             _run_level(

@@ -42,7 +42,6 @@ from repro.ap.backends.base import ExecutionBackend
 from repro.ap.backends.reference import ReferenceBackend
 from repro.ap.isa import APInstruction, APOpcode, ColumnRegion
 from repro.ap.lut import get_lut, reference_bit_op
-from repro.ap.backends.packing import bit_shifts as _bit_shifts
 from repro.cam.array import CAMArray
 from repro.errors import SimulationError
 from repro.utils.bitops import pack_bits_int64
@@ -55,6 +54,18 @@ _TRUTH_CACHE: Dict[Tuple[str, bool], np.ndarray] = {}
 
 #: Immutable LUT instances shared across instructions (keyed like the cache).
 _LUT_CACHE: Dict[Tuple[str, bool], object] = {}
+
+#: Cached ``np.arange`` shift vectors per width (int64).
+_SHIFT_CACHE: Dict[int, np.ndarray] = {}
+
+
+def _bit_shifts(width: int) -> np.ndarray:
+    """The cached ``[0, 1, ..., width-1]`` int64 shift vector."""
+    shifts = _SHIFT_CACHE.get(width)
+    if shifts is None:
+        shifts = _SHIFT_CACHE[width] = np.arange(width, dtype=np.int64)
+    return shifts
+
 
 def _cached_lut(kind: str, inplace: bool):
     key = (kind, bool(inplace))

@@ -9,8 +9,9 @@ Two decisions are made per channel DFG:
 * **column allocation**: values are grouped into *slots* (an in-place result
   reuses its operand's slot); slots that are live simultaneously must occupy
   different CAM columns.  The interference graph is colored with a greedy
-  graph-coloring heuristic (the classic register-allocation formulation the
-  paper refers to).
+  largest-degree-first heuristic (the classic register-allocation
+  formulation the paper refers to); live ranges are intervals, so the graph
+  is never built (see :func:`_color_intervals`).
 
 The storage width of a slot is the widest value ever stored in it, and every
 operation executes over its destination slot's storage width: this keeps the
@@ -20,10 +21,9 @@ upper bits (see DESIGN.md, "Key modelling decisions").
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.core.dfg import ChannelDFG
 from repro.errors import CapacityError, CompilationError
@@ -95,6 +95,49 @@ def _last_uses(dfg: ChannelDFG) -> Dict[int, int]:
         if output is not None:
             last_use[output[0]] = END_OF_PROGRAM
     return last_use
+
+
+def _color_intervals(live: Dict[int, Tuple[int, int]]) -> Dict[int, int]:
+    """Greedy largest-degree-first coloring of interfering live ranges.
+
+    Two slots interfere when their inclusive ``(start, end)`` ranges overlap.
+    Slots are colored in decreasing interference degree (stable, so ties keep
+    ``live`` order), each with the smallest color none of its already-colored
+    neighbours holds.  Ranges are intervals, so degrees come from the sorted
+    endpoints and each color keeps its disjoint ranges sorted by start: two
+    bisections per color decide whether a range fits, with no interference
+    graph.  The returned dict is in coloring order.
+    """
+    starts = sorted(start for start, _ in live.values())
+    ends = sorted(end for _, end in live.values())
+
+    def degree(slot: int) -> int:
+        # Ranges starting by this one's end minus those ending before its
+        # start; the range itself is one of them.
+        start, end = live[slot]
+        return bisect_right(starts, end) - bisect_left(ends, start) - 1
+
+    color_starts: List[List[int]] = []
+    color_ends: List[List[int]] = []
+    coloring: Dict[int, int] = {}
+    for slot in sorted(live, key=degree, reverse=True):
+        start, end = live[slot]
+        for color, (held_starts, held_ends) in enumerate(zip(color_starts, color_ends)):
+            index = bisect_left(held_starts, start)
+            if index < len(held_starts) and held_starts[index] <= end:
+                continue
+            if index and held_ends[index - 1] >= start:
+                continue
+            break
+        else:
+            color = len(color_starts)
+            color_starts.append([])
+            color_ends.append([])
+            index = 0
+        color_starts[color].insert(index, start)
+        color_ends[color].insert(index, end)
+        coloring[slot] = color
+    return coloring
 
 
 def schedule_dfg(
@@ -206,16 +249,7 @@ def schedule_dfg(
         else:
             slot_live[slot] = (start, end)
 
-    interference = nx.Graph()
-    interference.add_nodes_from(slot_live)
-    slots = list(slot_live)
-    for i, slot_a in enumerate(slots):
-        start_a, end_a = slot_live[slot_a]
-        for slot_b in slots[i + 1 :]:
-            start_b, end_b = slot_live[slot_b]
-            if start_a <= end_b and start_b <= end_a:
-                interference.add_edge(slot_a, slot_b)
-    coloring = nx.coloring.greedy_color(interference, strategy="largest_first")
+    coloring = _color_intervals(slot_live)
     num_colors = (max(coloring.values()) + 1) if coloring else 0
     if usable_columns is not None and num_colors > usable_columns:
         raise CapacityError(

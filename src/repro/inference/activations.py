@@ -18,14 +18,10 @@ the per-layer buffers:
   operands of a convolution: the per-channel im2col layout of
   :mod:`repro.nn.im2col` (``(Cin, Fh*Fw, Hout*Wout)``), whose last axis is
   the CAM row dimension sliced per row tile.
-* :func:`lower_batch_planes` is the wave-native composition of the two hot
-  host passes: the whole batch's codes are unpacked to CAM bit planes once
-  (:func:`repro.ap.backends.packing.unpack_bits`) and im2col-lowered in the
-  packed form, so every ``(image, tile)`` instance of a wave group slices
-  *views* of one staged plane tensor and the batched backend's loads skip
-  the per-load unpack entirely.
-* :class:`HostArena` keeps those staging buffers alive across layers (and
-  runs) so the steady-state host dataflow allocates nothing per layer.
+* :func:`lower_batch_rows` lowers a whole batch in one strided im2col: every
+  ``(image, tile)`` instance of a wave group stages *views* (or one gather)
+  of that integer tensor, which the batched backend writes into its
+  register words as is.
 * :class:`ActivationStore` owns the per-layer activation buffers of a
   :class:`~repro.inference.dataflow.DataflowGraph` and meters the activation
   bits that enter each layer (the interconnect hand-off traffic).
@@ -40,9 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.ap.backends.packing import unpack_bits
 from repro.errors import ModelDefinitionError
-from repro.nn.im2col import conv_output_size, im2col
+from repro.nn.im2col import im2col
 from repro.nn.quantization import QuantizationConfig
 
 
@@ -178,110 +173,6 @@ def lower_batch_rows(
         )
     with telemetry.span("host.lower", category="host", images=int(codes.shape[0])):
         return im2col(codes, kernel_size, stride, padding)
-
-
-class HostArena:
-    """Grow-only staging buffers reused across layers of one run.
-
-    The wave-native host path needs two large scratch tensors per layer (the
-    unpacked bit planes and their im2col lowering); their shapes change layer
-    to layer but their byte sizes are bounded by the largest layer, so one
-    flat byte buffer per role serves the whole network.  ``take`` returns a
-    correctly-shaped view of the (possibly grown) buffer - contents are
-    uninitialized, callers overwrite every element.  Not thread-safe: one
-    arena belongs to one running request at a time (the engine keeps a
-    checkout pool).
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def take(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.nbytes < size:
-            buffer = self._buffers[key] = np.empty(max(size, 1), dtype=np.uint8)
-        return buffer[:size].view(dtype).reshape(shape)
-
-
-def _staging_buffer(
-    arena: Optional[HostArena], key: str, shape: Tuple[int, ...], dtype
-) -> np.ndarray:
-    if arena is None:
-        return np.empty(shape, dtype=dtype)
-    return arena.take(key, shape, dtype)
-
-
-def lower_batch_planes(
-    codes: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: int = 1,
-    padding: int = 0,
-    width: int = 4,
-    arena: Optional[HostArena] = None,
-) -> np.ndarray:
-    """Lower a whole batch straight to CAM bit planes (wave-native form).
-
-    The packed composition of :func:`lower_batch_rows` and the CAM load's
-    bit unpack: the batch's codes are unpacked once to ``width`` two's
-    complement bit planes and im2col runs on the uint8 planes, so
-    ``result[n, c, :, k, p]`` holds exactly the bits a CAM load of
-    ``lower_batch_rows(codes)[n, c, k, p]`` would write (zero padding
-    unpacks to zero planes, and im2col only copies values, so unpack and
-    lowering commute bit for bit).  Downstream, every ``(image, tile)``
-    instance slices views of this one tensor and
-    :func:`~repro.ap.backends.batched.execute_program_wave` packs a
-    program's planes into its register words in one product per load width
-    - no per-payload gather.
-
-    Returns:
-        uint8 array of shape ``(N, Cin, width, Fh*Fw, Hout*Wout)``.
-    """
-    codes = np.asarray(codes)
-    if codes.ndim == 2:
-        num_images, features = codes.shape
-        planes = _staging_buffer(
-            arena, "host.unpack", (num_images, features, width), np.uint8
-        )
-        unpack_bits(codes, width, out=planes)
-        return planes.reshape(num_images, features, width, 1, 1)
-    if codes.ndim != 4:
-        raise ModelDefinitionError(
-            f"expected (N, Cin, H, W) or (N, features) codes, got shape {codes.shape}"
-        )
-    num_images, channels, height, spatial_w = codes.shape
-    kernel_h, kernel_w = kernel_size
-    out_h = conv_output_size(height, kernel_h, stride, padding)
-    out_w = conv_output_size(spatial_w, kernel_w, stride, padding)
-    with telemetry.span(
-        "host.lower", category="host", images=int(num_images), form="planes"
-    ):
-        planes = _staging_buffer(
-            arena,
-            "host.unpack",
-            (num_images, channels, width, height, spatial_w),
-            np.uint8,
-        )
-        # Unpack into the bit-major layout im2col consumes as extra channels.
-        unpack_bits(codes, width, out=planes.transpose(0, 1, 3, 4, 2))
-        lowered = im2col(
-            planes.reshape(num_images, channels * width, height, spatial_w),
-            kernel_size,
-            stride,
-            padding,
-            out=_staging_buffer(
-                arena,
-                "host.lowered",
-                (num_images, channels * width, kernel_h * kernel_w, out_h * out_w),
-                np.uint8,
-            ),
-        )
-    return lowered.reshape(
-        num_images, channels, width, kernel_h * kernel_w, out_h * out_w
-    )
 
 
 @dataclass

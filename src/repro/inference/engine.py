@@ -14,11 +14,13 @@ logits of the AP dataflow must match the pure-NumPy quantized reference
 Every layer takes one dispatch path.  At construction the layer's tiles are
 grouped into *wave groups* (tiles sharing compiled programs, rows and input
 channels).  Per request the layer's codes are lowered once and each group's
-``(image, tile)`` instances are staged as slices of that one tensor
-(:class:`~repro.ap.backends.base.StagedWaveInputs`); the executor's
-:meth:`~repro.runtime.executors.Executor.map_wave` runs the group through the
-backend's ``execute_wave`` contract, and the partial sums are reduced in
-(image, tile) order.  Two disciplines call that routine:
+``(image, tile)`` instances are staged as integer slices of that one tensor
+(:class:`~repro.ap.backends.base.StagedWaveInputs`).  A group that passed the
+native wave pre-flight runs the batched kernel directly; any other group
+goes through the executor's
+:meth:`~repro.runtime.executors.Executor.map_wave` and the backend's
+``execute_wave`` contract.  The partial sums are reduced in (image, tile)
+order.  Two disciplines call that routine:
 
 * **layer-synchronous** (``pipeline=False``): the whole (micro-)batch goes
   through layer L, then a barrier, then layer L+1.
@@ -61,9 +63,7 @@ from repro.errors import (
 )
 from repro.inference.activations import (
     ActivationStore,
-    HostArena,
     dequantize_batch,
-    lower_batch_planes,
     lower_batch_rows,
     normalize_images,
 )
@@ -83,16 +83,17 @@ from repro.runtime.scheduler import (
     aggregate_layer_run,
     charge_adder_tree_movement,
 )
-from repro.utils.bitops import max_signed_value, min_signed_value
 
 
 class _WaveGroup:
     """One layer's tiles that share compiled programs, rows and channels.
 
     The wave unit of the host dataflow: all ``(image, tile)`` instances of
-    the group execute as one ``map_wave`` call, with operands staged as
-    slices of the layer's one lowered tensor.  Instance order is image-major,
-    tile-minor, so results scatter back by ``image * tiles + tile_index``.
+    the group execute as one wave, with operands staged as slices of the
+    layer's one lowered tensor.  Instance order is image-major, tile-minor,
+    so results scatter back by ``image * tiles + tile_index``.
+    ``preflighted`` records whether the group's programs passed the native
+    wave pre-flight at engine construction.
     """
 
     __slots__ = (
@@ -101,18 +102,15 @@ class _WaveGroup:
         "tile_indices",
         "starts",
         "bindings",
-        "load_widths",
+        "preflighted",
         "rows_idx",
     )
 
-    def __init__(self, tile, rows: int, bindings, load_widths) -> None:
+    def __init__(self, tile, rows: int, bindings, preflighted: bool) -> None:
         self.tile = tile
         self.rows = rows
         self.bindings = bindings
-        #: Per program: operand name -> load region width (plane staging
-        #: slices each name's first ``width`` planes of the shared unpack);
-        #: ``None`` when the group has no wave pre-flight.
-        self.load_widths = load_widths
+        self.preflighted = preflighted
         self.tile_indices: List[int] = []
         self.starts: List[int] = []
         #: Lazily built ``(tiles, rows)`` row-gather index (multi-tile groups).
@@ -124,23 +122,13 @@ class _NodePlan:
 
     ``tile_specs`` is the image-invariant parse of every tile (row slice and
     static reduction layout); ``groups`` is the wave grouping of those tiles.
-    ``plane_width`` is the widest operand load of the layer when every
-    program passed the native wave pre-flight (``None`` otherwise): the
-    packed fast path unpacks the layer's codes to that many bit planes once,
-    and every load slices its own first ``width`` planes (two's complement
-    unpacking is per-bit, so a prefix of a wider unpack IS the narrower
-    unpack).  ``min_width`` is the narrowest load width - codes outside its
-    signed range are staged as values instead, so the backend's per-instance
-    fallback raises the proper range errors.
     """
 
-    __slots__ = ("tile_specs", "groups", "plane_width", "min_width")
+    __slots__ = ("tile_specs", "groups")
 
-    def __init__(self, tile_specs, groups, plane_width, min_width) -> None:
+    def __init__(self, tile_specs, groups) -> None:
         self.tile_specs = tile_specs
         self.groups = groups
-        self.plane_width = plane_width
-        self.min_width = min_width
 
 
 def _plan_node(node, columns: int, technology, native_wave: bool) -> _NodePlan:
@@ -155,8 +143,6 @@ def _plan_node(node, columns: int, technology, native_wave: bool) -> _NodePlan:
     tile_specs = []
     groups: List[_WaveGroup] = []
     by_key: Dict[tuple, _WaveGroup] = {}
-    widths_seen: set = set()
-    preflighted = native_wave
     for index, tile in enumerate(node.planned.tiles):
         start = tile.row_tile * rows_per_ap
         row_slice = slice(start, start + tile.rows)
@@ -180,38 +166,22 @@ def _plan_node(node, columns: int, technology, native_wave: bool) -> _NodePlan:
         )
         group = by_key.get(key)
         if group is None:
-            load_widths = None
-            if preflighted:
-                staging = wave_staging_plan(
-                    tile.programs, columns, technology=technology
-                )
-                if staging is None:
-                    preflighted = False
-                else:
-                    load_widths = staging[0]
-                    for widths in load_widths:
-                        widths_seen.update(widths.values())
+            preflighted = native_wave and wave_staging_plan(
+                tile.programs, columns, technology=technology
+            )
             bindings = [
                 (channel, [(name, int(name[1:])) for name in program.input_columns])
                 for channel, program in zip(tile.channel_indices, tile.programs)
             ]
-            group = by_key[key] = _WaveGroup(tile, tile.rows, bindings, load_widths)
+            group = by_key[key] = _WaveGroup(tile, tile.rows, bindings, preflighted)
             groups.append(group)
         group.tile_indices.append(index)
         group.starts.append(row_slice.start)
-    plane_width = None
-    min_width = None
-    if preflighted and widths_seen:
-        min_width = min(widths_seen)
-        plane_width = max(widths_seen)
-    return _NodePlan(tile_specs, groups, plane_width, min_width)
+    return _NodePlan(tile_specs, groups)
 
 
 def _stage_group(
-    group: _WaveGroup,
-    lowered: np.ndarray,
-    num_images: int,
-    planes: bool,
+    group: _WaveGroup, lowered: np.ndarray, num_images: int
 ) -> StagedWaveInputs:
     """Stage one wave group's operands as slices of the lowered tensor.
 
@@ -225,59 +195,24 @@ def _stage_group(
     instances = num_images * tiles
     if tiles == 1:
         window = slice(group.starts[0], group.starts[0] + rows)
-        if not planes:
-            values = [
-                {name: lowered[:, channel, k, window] for name, k in names}
-                for channel, names in group.bindings
-            ]
-            return StagedWaveInputs(instances, rows, values=values)
-        return StagedWaveInputs(
-            instances,
-            rows,
-            planes=[
-                {
-                    # Each load takes the first ``width`` planes of the shared
-                    # unpack (a prefix of a wider two's complement unpack IS
-                    # the narrower unpack, bit for bit).
-                    name: lowered[:, channel, : widths[name], k, window].transpose(
-                        0, 2, 1
-                    )
-                    for name, k in names
-                }
-                for (channel, names), widths in zip(group.bindings, group.load_widths)
-            ],
-        )
+        values = [
+            {name: lowered[:, channel, k, window] for name, k in names}
+            for channel, names in group.bindings
+        ]
+        return StagedWaveInputs(instances, rows, values)
     rows_idx = group.rows_idx
     if rows_idx is None:
         rows_idx = group.rows_idx = np.asarray(group.starts, dtype=np.intp)[
             :, None
         ] + np.arange(rows, dtype=np.intp)
-    if not planes:
-        values = [
-            {
-                name: lowered[:, channel, k, rows_idx].reshape(instances, rows)
-                for name, k in names
-            }
-            for channel, names in group.bindings
-        ]
-        return StagedWaveInputs(instances, rows, values=values)
-    return StagedWaveInputs(
-        instances,
-        rows,
-        planes=[
-            {
-                # Two indexing steps: mixing the scalar channel/k indices with
-                # the row-gather array would make them advanced indices too
-                # and scramble the axis order.  (N, width, tiles, rows)
-                # gather -> (instances, rows, width).
-                name: lowered[:, channel, : widths[name], k][:, :, rows_idx]
-                .transpose(0, 2, 3, 1)
-                .reshape(instances, rows, widths[name])
-                for name, k in names
-            }
-            for (channel, names), widths in zip(group.bindings, group.load_widths)
-        ],
-    )
+    values = [
+        {
+            name: lowered[:, channel, k, rows_idx].reshape(instances, rows)
+            for name, k in names
+        }
+        for channel, names in group.bindings
+    ]
+    return StagedWaveInputs(instances, rows, values)
 
 
 @dataclass
@@ -478,7 +413,8 @@ class BatchedInference:
         #: carry no id, so numbering never affects the data path).
         self._request_ids = itertools.count()
         self._technology = accelerator.config.technology
-        native_wave = resolve_backend(self.backend).supports_program_wave
+        self._backend_class = resolve_backend(self.backend)
+        native_wave = self._backend_class.supports_program_wave
         #: Per-layer host dataflow plans (tile parses + wave groupings); for
         #: native-wave backends this also pre-lowers every program to its
         #: wave form, so no request pays the lowering cost.
@@ -494,9 +430,6 @@ class BatchedInference:
                 )
                 for node in self.graph.nodes
             }
-        #: Reusable host staging arenas (one checked out per running request).
-        self._arenas: List[HostArena] = []
-        self._arena_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Forward-hook plumbing shared by both dispatch disciplines
@@ -552,25 +485,6 @@ class BatchedInference:
         finally:
             self._tls.hook = previous
 
-    @contextmanager
-    def _staging_arena(self):
-        """Check one host staging arena out of the pool for this request.
-
-        Arenas are reused across requests (their buffers already fit the
-        model's largest layer) but never shared between two running requests
-        - concurrent layer-synchronous runs each check out their own.
-        """
-        with self._arena_lock:
-            arena = self._arenas.pop() if self._arenas else HostArena()
-        previous = getattr(self._tls, "arena", None)
-        self._tls.arena = arena
-        try:
-            yield arena
-        finally:
-            self._tls.arena = previous
-            with self._arena_lock:
-                self._arenas.append(arena)
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -612,8 +526,7 @@ class BatchedInference:
             if batch is None
             else [x[start : start + batch] for start in range(0, x.shape[0], batch)]
         )
-        with self._staging_arena():
-            logits = np.concatenate([self._forward(chunk) for chunk in chunks], axis=0)
+        logits = np.concatenate([self._forward(chunk) for chunk in chunks], axis=0)
         finished = time.perf_counter()
         telemetry.complete(
             "session.request",
@@ -679,49 +592,27 @@ class BatchedInference:
     ) -> Tuple[np.ndarray, List[CAMStats], int, float]:
         """Run every (image, tile) of one layer on ``codes`` and reduce.
 
-        The layer is lowered once - to packed bit planes when every program
-        passed the wave pre-flight and the codes fit the narrowest load, to
-        integer rows otherwise - and each wave group's instances slice views
-        of that one tensor (:func:`_stage_group`).  Returns the integer
-        partial sums ``(images, out_channels, positions)``, the per-tile
-        CAMStats in (image, tile) order, the output checksum and the
-        device wall-clock.  ``in_flight`` tracks the layer's AP group in
-        :attr:`tracker` for the duration of the device work.
+        The layer's codes are lowered once to integer rows and each wave
+        group's instances slice views of that one tensor
+        (:func:`_stage_group`).  Returns the integer partial sums
+        ``(images, out_channels, positions)``, the per-tile CAMStats in
+        (image, tile) order, the output checksum and the device wall-clock.
+        ``in_flight`` tracks the layer's AP group in :attr:`tracker` for the
+        duration of the device work.
         """
         plan = self._node_plans[node.name]
         mapping = node.mapping
         num_images = codes.shape[0]
-        planes = plan.plane_width is not None
-        if planes and codes.size:
-            # Out-of-range codes cannot be staged as planes (the packed form
-            # has no per-value range check); as values, the backend's
-            # per-instance fallback raises the proper range errors.
-            planes = min_signed_value(plan.min_width) <= int(
-                codes.min()
-            ) and int(codes.max()) <= max_signed_value(plan.min_width)
-        if planes:
-            lowered = lower_batch_planes(
-                codes,
-                node.kernel_size,
-                node.stride,
-                node.padding,
-                width=plan.plane_width,
-                arena=getattr(self._tls, "arena", None),
-            )
-        else:
-            lowered = lower_batch_rows(
-                codes, node.kernel_size, node.stride, node.padding
-            )
+        lowered = lower_batch_rows(codes, node.kernel_size, node.stride, node.padding)
         with telemetry.span(
             "host.stage",
             category="host",
             layer=node.name,
             images=num_images,
-            mode="wave-planes" if planes else "wave",
+            mode="wave",
         ):
             staged_groups = [
-                _stage_group(group, lowered, num_images, planes)
-                for group in plan.groups
+                _stage_group(group, lowered, num_images) for group in plan.groups
             ]
         num_tiles = len(plan.tile_specs)
         results: List[WaveResult] = [None] * (num_images * num_tiles)  # type: ignore[list-item]
@@ -787,32 +678,28 @@ class BatchedInference:
     def _run_wave(self, group: _WaveGroup, staged: StagedWaveInputs) -> List[WaveResult]:
         """Execute one staged wave group, results in instance order.
 
-        Plane-staged groups passed the wave pre-flight at construction and
-        hold in-range codes, so the batched kernel takes them whole, in this
-        thread - called from here so that every native wave goes through
-        this module's ``execute_program_wave`` name, which the repository
-        benchmark's ``probe.backends.wave`` wrapper times.  Every other
-        group, and a kernel decline, goes through the executor's
+        A group that passed the wave pre-flight runs the batched kernel
+        whole, in this thread - called from here so that every native wave
+        goes through this module's ``execute_program_wave`` name, which the
+        repository benchmark's ``probe.backends.wave`` wrapper times.  If
+        the kernel declines (operands outside a load's range), the group
+        runs per instance without trying the kernel again, so the AP raises
+        the proper errors.  Every other group goes through the executor's
         ``map_wave`` and the backend's ``execute_wave`` contract.
         """
-        if staged.planes is not None:
-            results = execute_program_wave(
-                group.tile.programs,
-                staged,
-                rows=group.rows,
-                columns=self._columns,
-                technology=self._technology,
+        programs, rows = group.tile.programs, group.rows
+        if not group.preflighted:
+            return self.executor.map_wave(
+                self.backend, programs, staged, rows, self._columns, self._technology
             )
-            if results is not None:
-                return results
-        return self.executor.map_wave(
-            self.backend,
-            group.tile.programs,
-            staged,
-            group.rows,
-            self._columns,
-            self._technology,
+        results = execute_program_wave(
+            programs, staged, rows, self._columns, technology=self._technology
         )
+        if results is None:
+            results = self._backend_class.execute_instances(
+                programs, staged, rows, self._columns, self._technology
+            )
+        return results
 
     def _aggregate_layer(
         self,

@@ -50,7 +50,6 @@ def im2col(
     kernel_size: Tuple[int, int],
     stride: int = 1,
     padding: int = 0,
-    out: np.ndarray = None,
 ) -> np.ndarray:
     """Expand sliding windows of a batched input into columns.
 
@@ -59,10 +58,6 @@ def im2col(
         kernel_size: ``(Fh, Fw)``.
         stride: convolution stride (same for both dimensions).
         padding: symmetric zero padding.
-        out: optional preallocated result array of the exact output shape and
-            ``x``'s dtype (every element is overwritten, so it may be
-            uninitialized - this is what lets the host staging arena reuse
-            one lowering buffer across layers).
 
     Returns:
         Array of shape ``(N, C, Fh*Fw, Hout*Wout)``: for every sample and
@@ -78,16 +73,10 @@ def im2col(
     out_w = conv_output_size(width, kernel_w, stride, padding)
     padded = pad_input(x, padding)
 
-    shape = (batch, channels, kernel_h * kernel_w, out_h * out_w)
-    if out is not None:
-        if out.shape != shape or out.dtype != x.dtype:
-            raise ModelDefinitionError(
-                f"im2col out buffer must be {shape} of {x.dtype}, "
-                f"got {out.shape} of {out.dtype}"
-            )
-        columns = out
-    else:
-        columns = np.zeros(shape, dtype=x.dtype)
+    # Every (patch element, position) is written below.
+    columns = np.empty(
+        (batch, channels, kernel_h * kernel_w, out_h * out_w), dtype=x.dtype
+    )
     patch_index = 0
     for kh in range(kernel_h):
         for kw in range(kernel_w):

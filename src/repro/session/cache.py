@@ -13,8 +13,10 @@ Scope and safety:
 
 * Only registry-string models are cacheable - a module tree built in user
   code has no stable identity to key on.
-* The key hashes the package version, so upgrading the compiler naturally
-  invalidates every prior entry (no stale-program hazard across releases).
+* The key hashes the package version and the compiler's own source files
+  (:func:`compiler_digest`), so upgrading or editing the compiler
+  invalidates every prior entry (no stale-program hazard across releases or
+  between them).
 * Stores are atomic (temp file + ``os.replace``); unreadable or truncated
   entries are treated as misses and overwritten, never trusted.
 * The cache is strictly opt-in: without the environment variable this module
@@ -23,6 +25,7 @@ Scope and safety:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -48,6 +51,25 @@ def cache_dir() -> Optional[Path]:
     return Path(value) if value else None
 
 
+@functools.lru_cache(maxsize=None)
+def compiler_digest() -> str:
+    """SHA-256 of the source files compiled programs depend on.
+
+    Covers ``repro/core/*.py`` (folding, CSE, DFG, scheduling, codegen) and
+    ``repro/ap/isa.py`` (the program format), path and contents each, so an
+    edit to either changes every cache key.  Computed once per process.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.joinpath("core").glob("*.py")) + [
+        package / "ap" / "isa.py"
+    ]:
+        digest.update(path.relative_to(package).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def cache_key(config, package_version: str) -> Optional[str]:
     """Stable cache key for one session configuration, or ``None``.
 
@@ -55,7 +77,7 @@ def cache_key(config, package_version: str) -> Optional[str]:
     have no registry identity).  The key covers every input that shapes the
     compiled artifacts: model identity (name, width, sparsity, weight RNG),
     quantization (bits, signed), compile limits (slices, layers), the input
-    shape override, and the package version.
+    shape override, the package version and the compiler sources.
     """
     if not isinstance(config.model, str):
         return None
@@ -68,6 +90,7 @@ def cache_key(config, package_version: str) -> Optional[str]:
         {
             "format": _FORMAT,
             "version": package_version,
+            "compiler": compiler_digest(),
             "model": config.model,
             "width": config.width,
             "sparsity": config.sparsity,

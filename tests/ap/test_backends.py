@@ -36,7 +36,6 @@ from repro.ap.backends.harness import (
     random_inputs,
     random_program,
 )
-from repro.ap.backends.packing import unpack_bits
 from repro.ap.backends.vectorized import lut_truth_matrix
 from repro.ap.core import AssociativeProcessor
 from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
@@ -434,19 +433,6 @@ def staged_values(inputs, rows):
     return StagedWaveInputs(len(inputs), rows, values=values)
 
 
-def staged_planes(programs, inputs, rows, columns):
-    """The bit-plane form of :func:`staged_values` (pre-unpacked loads)."""
-    plan = wave_staging_plan(programs, columns)
-    assert plan is not None
-    load_widths, _ = plan
-    values = staged_values(inputs, rows).values
-    planes = [
-        {name: unpack_bits(values[index][name], width) for name, width in widths.items()}
-        for index, widths in enumerate(load_widths)
-    ]
-    return StagedWaveInputs(len(inputs), rows, planes=planes)
-
-
 def add_tile(width, columns=4):
     """One-add tile: ``y = a + b`` at the given operand width."""
     a = ColumnRegion(column=1, width=width)
@@ -632,10 +618,9 @@ class TestStagedWaveExecution:
     """Host-staged operand forms and the ``execute_wave`` device contract.
 
     The host dataflow hands every backend one :class:`StagedWaveInputs` per
-    layer group; the integer-batch and pre-unpacked bit-plane forms must
-    both reproduce per-instance execution bit for bit on every backend, and
-    malformed staging must make the batched kernel decline (return
-    ``None``) rather than corrupt the wave.
+    layer group; its integer batches must reproduce per-instance execution
+    bit for bit on every backend, and malformed staging must make the
+    batched kernel decline (return ``None``) rather than corrupt the wave.
     """
 
     def _inputs(self, programs, rows, instances, rng):
@@ -656,31 +641,14 @@ class TestStagedWaveExecution:
             wave, per_instance_wave_baseline(programs, inputs, rows, columns)
         )
 
-    def test_staged_planes_match_staged_values(self, rng):
-        programs, columns = add_tile(6)
-        rows = 5
-        inputs = self._inputs(programs, rows, 3, rng)
-        from_values = execute_program_wave(
-            programs, staged_values(inputs, rows), rows, columns
-        )
-        from_planes = execute_program_wave(
-            programs, staged_planes(programs, inputs, rows, columns), rows, columns
-        )
-        assert from_values is not None and from_planes is not None
-        assert_waves_identical(from_values, from_planes)
-
-    def test_staging_plan_reports_load_widths(self):
+    def test_staging_plan_accepts_wave_eligible_tile(self):
         programs, columns = add_tile(7)
-        plan = wave_staging_plan(programs, columns)
-        assert plan is not None
-        load_widths, uniform = plan
-        assert load_widths == [{"a": 7, "b": 7}]
-        assert uniform == 7
+        assert wave_staging_plan(programs, columns) is True
 
     def test_staging_plan_declines_bad_geometry(self):
         programs, _ = add_tile(7)
-        assert wave_staging_plan(programs, 0) is None
-        assert wave_staging_plan(programs, 4, carry_column=3) is None
+        assert wave_staging_plan(programs, 0) is False
+        assert wave_staging_plan(programs, 4, carry_column=3) is False
 
     def test_staged_chunking_byte_identical(self, rng, monkeypatch):
         from repro.ap.backends import batched as batched_module
@@ -726,15 +694,8 @@ class TestStagedWaveExecution:
             execute_program_wave(programs, non_integer, rows, columns) is None
         )
 
-    def test_staged_requires_exactly_one_form(self):
-        with pytest.raises(ValueError):
-            StagedWaveInputs(1, 4)
-        with pytest.raises(ValueError):
-            StagedWaveInputs(1, 4, values=[], planes=[])
-
-    @pytest.mark.parametrize("form", ["values", "planes"])
     @pytest.mark.parametrize("backend", ["reference", "vectorized", "batched"])
-    def test_execute_wave_matches_per_instance(self, rng, backend, form):
+    def test_execute_wave_matches_per_instance(self, rng, backend):
         """Every backend's ``execute_wave`` is per-instance execution."""
         programs = [
             random_program(rng, num_instructions=10, columns=12, max_width=8,
@@ -742,14 +703,8 @@ class TestStagedWaveExecution:
             for index in range(3)
         ]
         columns, rows = 12, 7
-        if form == "planes" and wave_staging_plan(programs, columns) is None:
-            programs = add_tile(6, columns)[0] * 2
         inputs = self._inputs(programs, rows, 5, rng)
-        staged = (
-            staged_values(inputs, rows)
-            if form == "values"
-            else staged_planes(programs, inputs, rows, columns)
-        )
+        staged = staged_values(inputs, rows)
         wave = resolve_backend(backend).execute_wave(programs, staged, rows, columns)
         assert_wave_matches_baseline(
             wave, per_instance_wave_baseline(programs, inputs, rows, columns)
@@ -941,10 +896,6 @@ class TestLevelFusedWaveDifferential:
         wave = execute_program_wave(programs, staged, rows, columns)
         assert wave is not None, "generated shapes are all wave-eligible"
         assert_wave_matches_baseline(wave, baseline)
-        planes = staged_planes(programs, inputs, rows, columns)
-        assert_waves_identical(
-            wave, execute_program_wave(programs, planes, rows, columns)
-        )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(batched_module, "_MAX_WAVE_STATE_BYTES", 1)
             chunked = execute_program_wave(programs, staged, rows, columns)

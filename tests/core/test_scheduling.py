@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cse import eliminate_common_subexpressions
 from repro.core.dfg import build_channel_dfg
 from repro.core.folding import fold_weight_slice
-from repro.core.scheduling import schedule_dfg
+from repro.core.scheduling import END_OF_PROGRAM, schedule_dfg
 from repro.errors import CapacityError
 
 
@@ -120,3 +121,77 @@ class TestColumnAllocation:
         schedule = schedule_dfg(dfg)
         # 6 inputs plus a handful of temporaries/outputs at most.
         assert schedule.num_columns <= 16
+
+
+def _slot_live_ranges(dfg, schedule):
+    """Inclusive ``(start, end)`` live range per slot, in first-use order."""
+    last_use = {node_id: -1 for node_id in dfg.nodes}
+    for position, node_id in enumerate(dfg.op_order):
+        node = dfg.nodes[node_id]
+        last_use[node.lhs[0]] = position
+        last_use[node.rhs[0]] = position
+    for ref in dfg.outputs.values():
+        if ref is not None:
+            last_use[ref[0]] = END_OF_PROGRAM
+    definition = {node_id: -1 for node_id in dfg.input_nodes.values()}
+    for position, node_id in enumerate(dfg.op_order):
+        definition[node_id] = position
+    live = {}
+    for node_id, slot in schedule.slot_of_node.items():
+        start = definition[node_id]
+        end = max(last_use[node_id], start)
+        old_start, old_end = live.get(slot, (start, end))
+        live[slot] = (min(old_start, start), max(old_end, end))
+    return live
+
+
+def _brute_force_greedy(live):
+    """Largest-degree-first greedy coloring over an explicit O(n^2)
+    interference relation (stable degree sort, smallest free color)."""
+    slots = list(live)
+    neighbours = {slot: set() for slot in slots}
+    for i, slot_a in enumerate(slots):
+        start_a, end_a = live[slot_a]
+        for slot_b in slots[i + 1 :]:
+            start_b, end_b = live[slot_b]
+            if start_a <= end_b and start_b <= end_a:
+                neighbours[slot_a].add(slot_b)
+                neighbours[slot_b].add(slot_a)
+    coloring = {}
+    for slot in sorted(slots, key=lambda slot: len(neighbours[slot]), reverse=True):
+        taken = {coloring[other] for other in neighbours[slot] if other in coloring}
+        coloring[slot] = next(
+            color for color in range(len(slots)) if color not in taken
+        )
+    return coloring
+
+
+_ternary_matrix = st.integers(min_value=1, max_value=10).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=12,
+    )
+)
+
+
+class TestAllocatorMatchesBruteForce:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        matrix=_ternary_matrix,
+        cse=st.booleans(),
+        prefer_inplace=st.booleans(),
+        first_column=st.integers(min_value=0, max_value=3),
+    )
+    def test_columns_equal_brute_force_greedy(
+        self, matrix, cse, prefer_inplace, first_column
+    ):
+        """Columns and their insertion order equal an explicit-graph greedy."""
+        dfg = build_dfg(matrix, cse=cse)
+        schedule = schedule_dfg(
+            dfg, first_column=first_column, prefer_inplace=prefer_inplace
+        )
+        expected = _brute_force_greedy(_slot_live_ranges(dfg, schedule))
+        assert list(schedule.slot_column.items()) == [
+            (slot, first_column + color) for slot, color in expected.items()
+        ]

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ap.backends.packing import unpack_bits
 from repro.errors import ModelDefinitionError
 from repro.inference.activations import (
     ActivationStore,
-    HostArena,
     dequantize_batch,
-    lower_batch_planes,
     lower_batch_rows,
     lower_input_rows,
     quantize_batch,
@@ -136,71 +133,3 @@ class TestLowerBatchRows:
     def test_rejects_bad_rank(self):
         with pytest.raises(ModelDefinitionError):
             lower_batch_rows(np.zeros((2, 2, 2)), (1, 1))
-
-
-class TestLowerBatchPlanes:
-    """The fused unpack+lower path commutes with lowering then unpacking."""
-
-    @pytest.mark.parametrize("case", sorted(TestLowerBatchRows.CASES))
-    def test_planes_equal_unpacked_rows(self, rng, case):
-        spec = TestLowerBatchRows.CASES[case]
-        width = 5
-        codes = rng.integers(-16, 16, size=spec["shape"])
-        planes = lower_batch_planes(
-            codes, spec["kernel"], spec["stride"], spec["padding"], width=width
-        )
-        rows = lower_batch_rows(
-            codes, spec["kernel"], spec["stride"], spec["padding"]
-        )
-        # planes axes: (N, C, width, K, P); unpack_bits appends width last.
-        expected = unpack_bits(rows, width).transpose(0, 1, 4, 2, 3)
-        assert planes.dtype == np.uint8
-        assert np.array_equal(planes, expected), case
-
-    def test_features_form(self, rng):
-        codes = rng.integers(0, 16, size=(3, 10))
-        planes = lower_batch_planes(codes, (1, 1), width=4)
-        expected = unpack_bits(
-            lower_batch_rows(codes, (1, 1)), 4
-        ).transpose(0, 1, 4, 2, 3)
-        assert np.array_equal(planes, expected)
-
-    def test_arena_reuse_is_safe(self, rng):
-        """Two consecutive layers through one arena: the second lowering
-        fully overwrites the reused buffers."""
-        arena = HostArena()
-        codes_a = rng.integers(0, 16, size=(2, 3, 6, 6))
-        codes_b = rng.integers(0, 16, size=(2, 2, 5, 5))
-        fresh_a = lower_batch_planes(codes_a, (3, 3), padding=1, width=4)
-        lowered_a = lower_batch_planes(
-            codes_a, (3, 3), padding=1, width=4, arena=arena
-        )
-        assert np.array_equal(lowered_a, fresh_a)
-        lowered_b = lower_batch_planes(codes_b, (2, 2), width=6, arena=arena)
-        assert np.array_equal(
-            lowered_b, lower_batch_planes(codes_b, (2, 2), width=6)
-        )
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ModelDefinitionError):
-            lower_batch_planes(np.zeros((2, 2, 2)), (1, 1))
-
-
-class TestHostArena:
-    def test_buffers_grow_and_are_reused(self):
-        arena = HostArena()
-        small = arena.take("k", (2, 3), np.uint8)
-        assert small.shape == (2, 3)
-        small[...] = 7
-        big = arena.take("k", (4, 5), np.int64)
-        assert big.shape == (4, 5) and big.dtype == np.int64
-        again = arena.take("k", (2, 3), np.uint8)
-        assert again.base is big.base  # same backing buffer, no realloc
-
-    def test_keys_are_independent(self):
-        arena = HostArena()
-        left = arena.take("a", (8,), np.uint8)
-        right = arena.take("b", (8,), np.uint8)
-        left[...] = 1
-        right[...] = 2
-        assert left.sum() == 8 and right.sum() == 16

@@ -37,6 +37,13 @@ class TestCacheKey:
             assert cache.cache_key(variant, repro.__version__) != base
         assert cache.cache_key(SessionConfig(**MODEL_KWARGS), "0.0.0") != base
 
+    def test_key_covers_compiler_sources(self, monkeypatch):
+        config = SessionConfig(**MODEL_KWARGS)
+        base = cache.cache_key(config, repro.__version__)
+        assert len(cache.compiler_digest()) == 64
+        monkeypatch.setattr(cache, "compiler_digest", lambda: "0" * 64)
+        assert cache.cache_key(config, repro.__version__) != base
+
     def test_module_tree_models_are_not_cacheable(self):
         from repro.nn.layers import Flatten, TernaryLinear
         from repro.nn.model import Sequential
@@ -81,6 +88,18 @@ class TestSessionCompileCache:
         assert (
             cold.execution.total_stats == warm.execution.total_stats
         )
+
+    def test_compiler_edit_is_a_miss(self, tmp_path, monkeypatch):
+        """An entry stored before the compiler sources changed is not served."""
+        monkeypatch.setenv(cache.COMPILE_CACHE_ENV, str(tmp_path))
+        session, status = _compile_status()
+        session.close()
+        assert status == "miss"
+        monkeypatch.setattr(cache, "compiler_digest", lambda: "0" * 64)
+        session, status = _compile_status()
+        session.close()
+        assert status == "miss"
+        assert len(list(tmp_path.glob("compiled-*.pkl"))) == 2
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache.COMPILE_CACHE_ENV, str(tmp_path))
