@@ -4,12 +4,14 @@ The runtime's contract (see ``src/repro/runtime/``) has two halves:
 
 * **Determinism** - ``execute_plan`` produces byte-identical aggregated
   :class:`~repro.cam.stats.CAMStats` (and output checksums) for the
-  ``serial`` and ``parallel``/``thread`` executors and for the ``reference``
-  and ``vectorized`` backends, on a small-vgg9 plan.
+  ``serial`` and ``parallel``/``thread`` executors and for the
+  ``reference``, ``vectorized`` and ``batched`` backends, on a small-vgg9
+  plan.  Every tile runs as a one-instance staged wave, so ``batched``
+  tiles go through its native wave kernel.
 * **Speed** - the ``parallel`` (process-pool) executor is at least 2x faster
   than ``serial`` wall-clock on >= 4 workers for the Python-heavy
-  ``reference`` backend.  The gate skips on hosts with fewer than 4 CPUs
-  (CI provides the multi-core run).
+  ``reference`` backend, whatever ``--ap-backend`` selects.  The gate skips
+  on hosts with fewer than 4 CPUs (CI provides the multi-core run).
 """
 
 import os
@@ -101,22 +103,15 @@ THREAD_GIL_NOTE = (
     (os.cpu_count() or 1) < GATE_WORKERS,
     reason=f"parallel speedup gate needs >= {GATE_WORKERS} CPUs",
 )
-def test_parallel_speedup(vgg9_plan, save_report, ap_backend):
+def test_parallel_speedup(vgg9_plan, save_report):
     """The process-pool executor must be >= 2x faster on >= 4 workers.
 
     Measured on the ``reference`` backend, whose per-tile cost is dominated
     by Python bytecode: that is the workload the parallel executor exists
     for, and the one where the GIL makes threads useless (see
-    ``THREAD_GIL_NOTE``).  Under ``--ap-backend=batched`` the gate skips:
-    that backend executes whole layers as single NumPy mega-kernel waves on
-    the driver thread, so a pool-vs-serial wall-clock ratio no longer
-    measures the executor at all.
+    ``THREAD_GIL_NOTE``).  The backend is pinned, so ``--ap-backend`` does
+    not change what this gate measures.
     """
-    if ap_backend == "batched":
-        pytest.skip(
-            "serial-vs-pool speedup is meaningless under the batched backend: "
-            "layers run as single mega-kernel waves, not per-tile pool tasks"
-        )
     serial, serial_s = _execute(vgg9_plan, "serial", "reference")
     parallel, parallel_s = _execute(
         vgg9_plan, "parallel", "reference", workers=GATE_WORKERS

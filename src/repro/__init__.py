@@ -13,7 +13,7 @@ The library implements the paper's full stack:
   many APs at once - serial or parallel executors, deterministic counters
   (:mod:`repro.runtime`),
 * the end-to-end inference dataflow that chains real quantized activations
-  between layers and batches images across one leased AP pool, with logits
+  between layers and batches images into staged waves, with logits
   byte-identical to the pure-NumPy quantized reference
   (:mod:`repro.inference`),
 * the NumPy neural-network substrate and model zoo (:mod:`repro.nn`),
@@ -96,7 +96,6 @@ from repro.rtm.timing import RTMTechnology
 from repro.runtime import (
     ExecutionPlan,
     InFlightTracker,
-    PipelineScheduler,
     PlanExecution,
     Scheduler,
     available_executors,
@@ -142,7 +141,6 @@ __all__ = [
     "ExecutionPlan",
     "PlanExecution",
     "Scheduler",
-    "PipelineScheduler",
     "InFlightTracker",
     "PendingRequest",
     "PipelineCost",

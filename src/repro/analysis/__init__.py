@@ -7,8 +7,8 @@ Three checkers, one diagnostic vocabulary (stable ``RPA*`` codes, see
   :class:`~repro.ap.isa.APProgram` / runtime tile programs against the CAM
   geometry (``RPA1xx``);
 * :mod:`repro.analysis.plan` - whole-plan verification of
-  :class:`~repro.runtime.plan.ExecutionPlan`, including the pipeline
-  dependency DAG the runtime would dispatch (``RPA2xx``);
+  :class:`~repro.runtime.plan.ExecutionPlan`, including the task graph of
+  each AP running its tiles in plan order (``RPA2xx``);
 * :mod:`repro.analysis.lint_locks` - AST lint of the source tree for lock
   and executor discipline (``RPA3xx``).
 
@@ -26,6 +26,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.lint_locks import CleanupIndex, lint_file, lint_source, lint_tree
 from repro.analysis.plan import (
+    PlanTask,
     build_pipeline_tasks,
     verify_execution_plan,
     verify_task_graph,
@@ -47,6 +48,7 @@ __all__ = [
     "lint_file",
     "lint_source",
     "lint_tree",
+    "PlanTask",
     "build_pipeline_tasks",
     "verify_execution_plan",
     "verify_task_graph",

@@ -36,7 +36,7 @@ CODES: Dict[str, str] = {
     # Plan verifier (RPA2xx): one ExecutionPlan against an accelerator.
     "RPA201": "AP address outside the accelerator hierarchy",
     "RPA202": "resident layers' AP groups overlap",
-    "RPA203": "pipeline dependency graph contains a cycle",
+    "RPA203": "per-AP task graph contains a cycle",
     "RPA204": "work item unreachable from the dependency sources",
     "RPA205": "resident AP usage inconsistent with resident_aps_required",
     "RPA206": "tile row count exceeds the CAM row capacity",
@@ -45,7 +45,7 @@ CODES: Dict[str, str] = {
     "RPA209": "tile programs of differing row geometry share a resident AP",
     # Concurrency lint (RPA3xx): source-level discipline of the runtime.
     "RPA301": "ledger state mutated outside the ledger lock",
-    "RPA302": "submit_tasks without a drain/close on a cleanup path",
+    "RPA302": "submitted work without a drain/close on a cleanup path",
 }
 
 

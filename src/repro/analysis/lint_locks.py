@@ -13,12 +13,12 @@ assignments (``self._pins[a] = lease``, ``self._residency.x += 1``) and
 mutating method calls (``self._pins.clear()``) are recognised.
 
 ``RPA302`` (warning) - **submitted work is always drained.**  Every receiver
-that ``submit_tasks`` - or the serving layer's ``send_request`` (the worker
-channel's dispatch, :class:`repro.serving.worker.WorkerChannel`) - is called
-on must, somewhere in the linted tree, have a matching
-``drain``/``close``/``shutdown``/``join`` call either inside a ``finally``
-block or inside a cleanup method (``close``/``drain``/``shutdown``/
-``__exit__``/``__del__``) - otherwise a failed run can strand futures on a
+that the serving layer's ``send_request`` (the worker channel's dispatch,
+:class:`repro.serving.worker.WorkerChannel`) - or an executor-style
+asynchronous ``submit_tasks`` - is called on must, somewhere in the linted
+tree, have a matching ``drain``/``close``/``shutdown``/``join`` call either
+inside a ``finally`` block or inside a cleanup method (``close``/``drain``/
+``shutdown``/``__exit__``/``__del__``) - otherwise a failed run can strand futures on a
 live worker pool, or a failed serving loop a live worker *process*.  The
 match is by receiver name tail (``self.executor`` matches ``executor``), a
 deliberately coarse whole-project heuristic; hence a warning, not an error.
@@ -120,9 +120,9 @@ class CleanupIndex:
     """Receiver tails with a qualifying drain/close somewhere in the tree.
 
     RPA302 is a whole-project property (the submit site and its cleanup may
-    live in different classes - ``PipelineScheduler`` submits, its base
-    ``Scheduler.close`` drains), so the index is built over every linted
-    file first and consulted per submit site afterwards.
+    live in different classes - a subclass submits, its base class's
+    ``close`` drains), so the index is built over every linted file first
+    and consulted per submit site afterwards.
     """
 
     def __init__(self) -> None:

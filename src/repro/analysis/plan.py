@@ -1,25 +1,25 @@
-"""Static verification of execution plans and pipeline task graphs.
+"""Static verification of execution plans and their per-AP task graphs.
 
 The plan verifier proves an :class:`~repro.runtime.plan.ExecutionPlan`
 well-formed *before* anything executes or pins CAM state: every
 :data:`~repro.arch.accelerator.APAddress` inside the accelerator hierarchy,
 resident layers on disjoint AP groups, tile coordinates unique and
-consistent, row/column demands within the CAM geometry, and the pipeline
-dependency graph the runtime would build from the plan acyclic with every
-``(layer, tile)`` work item reachable from the sources (deadlock freedom).
-Findings are :class:`~repro.analysis.diagnostics.Diagnostic` values with
-stable ``RPA2xx`` codes and layer/tile locations.
+consistent, row/column demands within the CAM geometry, and the plan's task
+graph acyclic with every ``(layer, tile)`` work item reachable from the
+sources (deadlock freedom).  Findings are
+:class:`~repro.analysis.diagnostics.Diagnostic` values with stable ``RPA2xx``
+codes and layer/tile locations.
 
-The dependency-graph model mirrors :meth:`PipelineScheduler.run
-<repro.runtime.pipeline.PipelineScheduler.run>` exactly: tiles are emitted
-in plan order and each tile depends on the previous tile placed on the same
-AP.  Verifying the *model* therefore verifies the schedule the runtime will
-actually dispatch.
+The task graph models each AP running its tile programs in plan order: tiles
+are emitted in plan order and each tile depends on the previous tile placed
+on the same AP (sequential rounds, and layers that time-share an AP under
+shared placement).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import VerificationReport
 from repro.analysis.program import verify_tile_program
@@ -27,28 +27,43 @@ from repro.analysis.program import verify_tile_program
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.arch.accelerator import Accelerator, APAddress
     from repro.core.compiler import CompiledModel
-    from repro.runtime.pipeline import PipelineTask
     from repro.runtime.plan import ExecutionPlan
 
 
+@dataclass(frozen=True)
+class PlanTask:
+    """One work item of a plan's task graph.
+
+    Attributes:
+        key: unique, orderable identity (``(layer_index, position)`` for
+            plan tiles).
+        group: the AP group the work item occupies (its layer index).
+        depends_on: keys that must complete before this item can run.
+    """
+
+    key: Tuple
+    group: Hashable
+    depends_on: Tuple = ()
+
+
 def verify_task_graph(
-    tasks: Sequence["PipelineTask"],
+    tasks: Sequence[PlanTask],
     report: Optional[VerificationReport] = None,
 ) -> VerificationReport:
-    """Check a pipeline task DAG for cycles and unreachable work items.
+    """Check a task DAG for cycles and unreachable work items.
 
     Runs Kahn's algorithm over the task keys: a duplicate key is flagged
     ``RPA208``, a dependency on a key no task owns ``RPA204``, and any task
     not drained by the topological walk sits on (or behind) a cycle -
-    ``RPA203`` for the cycle members, which the runtime would deadlock on.
+    ``RPA203`` for the cycle members, which could never run.
     """
     report = report if report is not None else VerificationReport(subject="task graph")
-    by_key: Dict[Tuple, "PipelineTask"] = {}
+    by_key: Dict[Tuple, PlanTask] = {}
     for task in tasks:
         if task.key in by_key:
             report.add(
                 "RPA208",
-                f"duplicate pipeline task key {task.key!r}",
+                f"duplicate task key {task.key!r}",
             )
             continue
         by_key[task.key] = task
@@ -95,17 +110,13 @@ def verify_task_graph(
     return report
 
 
-def build_pipeline_tasks(plan: "ExecutionPlan") -> List["PipelineTask"]:
-    """The task DAG :class:`~repro.runtime.pipeline.PipelineScheduler` builds.
+def build_pipeline_tasks(plan: "ExecutionPlan") -> List[PlanTask]:
+    """The task DAG of each AP running its tile programs in plan order.
 
-    Kept in lockstep with ``PipelineScheduler.run``: one task per tile in
-    plan order, keyed ``(layer_index, position)``, depending on the previous
-    task placed on the same AP address.  The verifier checks this exact
-    graph, so a pass here is a guarantee about the runtime schedule.
+    One task per tile in plan order, keyed ``(layer_index, position)``,
+    depending on the previous task placed on the same AP address.
     """
-    from repro.runtime.pipeline import PipelineTask
-
-    tasks: List[PipelineTask] = []
+    tasks: List[PlanTask] = []
     last_on_ap: Dict[Tuple[int, int, int], Tuple] = {}
     for layer in plan.layers:
         for position, tile in enumerate(layer.tiles):
@@ -113,21 +124,14 @@ def build_pipeline_tasks(plan: "ExecutionPlan") -> List["PipelineTask"]:
             address = tuple(tile.address)
             dependency = last_on_ap.get(address)
             tasks.append(
-                PipelineTask(
+                PlanTask(
                     key=key,
                     group=layer.layer_index,
-                    fn=_no_op,
-                    payload=None,
                     depends_on=(dependency,) if dependency is not None else (),
                 )
             )
             last_on_ap[address] = key
     return tasks
-
-
-def _no_op(payload: object) -> object:
-    """Placeholder task body for statically-modelled pipeline graphs."""
-    return payload
 
 
 def verify_execution_plan(
@@ -271,6 +275,6 @@ def verify_execution_plan(
                     f"sizing contract auto-size relies on is broken",
                 )
 
-    # --- RPA203/RPA204: the runtime's pipeline DAG ------------------------
+    # --- RPA203/RPA204/RPA208: the per-AP task graph ---------------------
     verify_task_graph(build_pipeline_tasks(plan), report)
     return report

@@ -248,15 +248,22 @@ class APProgram:
 
     @property
     def max_column_used(self) -> int:
-        """Highest column index referenced by the program."""
-        highest = self.carry_column
+        """Highest column index referenced by the program.
+
+        Input and output regions count too: an output that passes an input
+        through untouched occupies a column no instruction references.
+        """
+        columns = {self.carry_column}
+        columns.update(region.column for region in self.input_columns.values())
+        columns.update(region.column for region in self.output_columns.values())
         for instr in self.instructions:
-            for region in instr.all_dests:
-                highest = max(highest, region.column)
-            for region in (instr.src_a, instr.src_b):
-                if region is not None:
-                    highest = max(highest, region.column)
-        return highest
+            columns.add(instr.dest.column)
+            columns.update(region.column for region in instr.extra_dests)
+            if instr.src_a is not None:
+                columns.add(instr.src_a.column)
+            if instr.src_b is not None:
+                columns.add(instr.src_b.column)
+        return max(columns)
 
     @property
     def max_domain_used(self) -> int:

@@ -1,14 +1,16 @@
-"""The accelerator: AP provider and runtime host of the bank/tile hierarchy.
+"""The accelerator: ledger owner and runtime host of the bank/tile hierarchy.
 
 The :class:`Accelerator` models the full bank / tile / AP hierarchy (paper
-Fig. 2a) and acts as the execution-plan runtime's AP provider: it keeps a
-pool of functional :class:`~repro.ap.core.AssociativeProcessor` instances
-(leased and reset per tile program), aggregates the
-:class:`~repro.cam.stats.CAMStats` charged by every executed tile per
-``(bank, tile)``, meters interconnect traffic through its
-:class:`~repro.arch.interconnect.InterconnectModel`, and exposes
+Fig. 2a) and hosts the execution-plan runtime's ledgers: it records which
+tile programs are weight-resident (pinned) and accounts every dispatch as
+warm or cold, aggregates the :class:`~repro.cam.stats.CAMStats` charged by
+every executed tile per ``(bank, tile)``, meters interconnect traffic
+through its :class:`~repro.arch.interconnect.InterconnectModel`, and exposes
 :meth:`execute_plan` - the single entry point that runs an
-:class:`~repro.runtime.plan.ExecutionPlan` on a pluggable executor.
+:class:`~repro.runtime.plan.ExecutionPlan` on a pluggable executor.  It owns
+no functional APs: every tile runs as a staged wave, and
+:meth:`~repro.ap.backends.base.ExecutionBackend.execute_instances` is the
+one place that builds them.
 
 Full-network *analytic* numbers still come from :mod:`repro.perf`; the
 functional path here is what validates them at layer granularity
@@ -23,8 +25,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro import telemetry
-from repro.ap.backends import DEFAULT_BACKEND, BackendSpec, resolve_backend
-from repro.ap.core import AssociativeProcessor
+from repro.ap.backends import DEFAULT_BACKEND, BackendSpec
 from repro.arch.config import ArchitectureConfig
 from repro.arch.interconnect import (
     ZERO_TRANSFER,
@@ -58,8 +59,7 @@ def tile_weight_bits(tile: "TileProgram") -> float:
     stream, so loading a tile onto an AP writes its whole operand footprint:
     ``rows`` CAM rows across every column any of its slice programs touches.
     This is the traffic a weight-resident deployment pays **once**, and the
-    traffic the legacy per-request lease path pays implicitly on every
-    dispatch.
+    traffic every cold (non-resident) dispatch pays implicitly.
     """
     return float(tile.rows * (tile.max_column_used + 1))
 
@@ -182,7 +182,7 @@ class Accelerator:
         config: architecture configuration (hierarchy shape, CAM geometry).
         interconnect: optional interconnect model; derived from the
             configuration when omitted.
-        backend: execution backend used by every pooled functional AP (see
+        backend: default execution backend of plan runs (see
             :mod:`repro.ap.backends`); event accounting is
             backend-independent, so this only changes simulation speed.
 
@@ -222,8 +222,6 @@ class Accelerator:
             )
             for bank in range(self.config.num_banks)
         ]
-        #: Pooled functional APs, keyed by address (leased via lease_ap).
-        self._functional_aps: Dict[APAddress, AssociativeProcessor] = {}
         #: Runtime ledger: exact CAM counters charged per (bank, tile).
         self._tile_stats: Dict[Tuple[int, int], CAMStats] = {}
         #: Runtime ledger: interconnect traffic charged per transfer scope.
@@ -261,97 +259,6 @@ class Accelerator:
             raise CapacityError(f"AP {ap} outside [0, {self.config.aps_per_tile})")
 
     # ------------------------------------------------------------------
-    # Pooled AP lifecycle
-    # ------------------------------------------------------------------
-    def functional_ap(self, address: APAddress) -> AssociativeProcessor:
-        """Instantiate (or fetch) the pooled functional AP at ``address``.
-
-        Functional APs are created lazily because a full configuration holds
-        hundreds of arrays and most workflows only simulate a handful.  The
-        returned AP keeps whatever state previous work left in it; use
-        :meth:`lease_ap` for a reset AP sized to a specific workload.
-        """
-        self.validate_address(address)
-        if address not in self._functional_aps:
-            self._functional_aps[address] = AssociativeProcessor(
-                rows=self.config.ap.rows,
-                columns=self.config.ap.columns,
-                technology=self.config.technology,
-                backend=self.backend,
-            )
-        return self._functional_aps[address]
-
-    def lease_ap(
-        self,
-        address: APAddress,
-        rows: Optional[int] = None,
-        columns: Optional[int] = None,
-        backend: Optional[BackendSpec] = None,
-    ) -> AssociativeProcessor:
-        """Lease the pooled AP at ``address``, reset and sized for a workload.
-
-        The pool guarantees that a leased AP is indistinguishable from a
-        freshly constructed one: stored bits, port positions and counters are
-        wiped, and a cached instance whose geometry or backend does not match
-        the request is rebuilt.  This is what lets the serial executor reuse
-        pool APs while staying byte-identical to pool workers that build
-        fresh APs in their own process.
-        """
-        self.validate_address(address)
-        rows = rows if rows is not None else self.config.ap.rows
-        columns = columns if columns is not None else self.config.ap.columns
-        backend = backend if backend is not None else self.backend
-        if rows > self.config.ap.rows:
-            raise CapacityError(
-                f"lease of {rows} rows exceeds the {self.config.ap.rows}-row APs "
-                f"of this architecture"
-            )
-        if columns > self.config.ap.columns:
-            raise CapacityError(
-                f"lease of {columns} columns exceeds the "
-                f"{self.config.ap.columns}-column APs of this architecture"
-            )
-        cached = self._functional_aps.get(address)
-        if (
-            cached is None
-            or cached.rows != rows
-            or cached.columns != columns
-            or type(cached.backend) is not resolve_backend(backend)
-        ):
-            cached = AssociativeProcessor(
-                rows=rows,
-                columns=columns,
-                technology=self.config.technology,
-                backend=backend,
-            )
-            self._functional_aps[address] = cached
-            # Rebuilding a pinned AP with a geometry or backend the pin did
-            # not promise overwrites what was resident in its CAM: the pin
-            # no longer holds.  (Lazy first materialization at the pinned
-            # geometry keeps the pin - the weights are modeled as resident.)
-            with self._ledger_lock:
-                pin = self._pins.get(address)
-                if pin is not None and (
-                    pin.rows != rows
-                    or pin.columns != columns
-                    or resolve_backend(pin.backend) is not resolve_backend(backend)
-                ):
-                    self._pins.pop(address, None)
-        else:
-            cached.array.reset()
-            cached.active_rows = rows
-        telemetry.instant(
-            "accelerator.lease", category="device", ap=str(tuple(address))
-        )
-        return cached
-
-    def release_aps(self) -> int:
-        """Drop every pooled functional AP; returns how many were released."""
-        count = len(self._functional_aps)
-        self._functional_aps.clear()
-        return count
-
-    # ------------------------------------------------------------------
     # Weight-resident placement: pinned leases that survive across requests
     # ------------------------------------------------------------------
     def deploy_plan(
@@ -376,8 +283,8 @@ class Accelerator:
 
         Args:
             plan: a resident-placement :class:`~repro.runtime.plan.ExecutionPlan`.
-            backend: execution backend the pinned functional APs will use;
-                the accelerator's default when omitted.
+            backend: execution backend recorded on the pins; the
+                accelerator's default when omitted.
 
         Returns:
             The :class:`Deployment` record (programming traffic, pin counts).
@@ -454,8 +361,8 @@ class Accelerator:
         implicit cost every dispatch paid before weight-resident placement
         existed).  Called once per dispatched tile program by both the
         synthetic scheduler and the inference engine, for every executor -
-        pool workers build their APs in other processes, so accounting
-        happens here, at dispatch time, not inside :meth:`lease_ap`.
+        pool workers run in other processes, so accounting happens here, at
+        dispatch time.
         """
         with self._ledger_lock:
             pin = self._pins.get(tuple(tile.address))

@@ -346,8 +346,8 @@ class CAMArray:
     def reset(self) -> None:
         """Wipe stored bits, port positions and event counters.
 
-        Restores the array to its just-constructed state so that a pooled
-        array can be leased to a new workload and produce byte-identical
+        Restores the array to its just-constructed state so that one array
+        can run instance after instance of a wave and produce byte-identical
         results (state *and* counters) to a freshly constructed array.
         """
         self._bits.fill(0)

@@ -1,7 +1,7 @@
 """Batched end-to-end inference on the execution-plan runtime.
 
-:class:`BatchedInference` runs N images through one compiled model on one
-leased AP pool: every weight layer's *real* quantized activations are lowered
+:class:`BatchedInference` runs N images through one compiled model and its
+execution plan: every weight layer's *real* quantized activations are lowered
 to AP row operands (:mod:`repro.inference.activations`), executed as the
 layer's :class:`~repro.runtime.plan.TileProgram` streams on the runtime's
 pluggable executors, and reduced into exact integer partial sums whose order
@@ -296,7 +296,7 @@ class _PipelinedRequest:
 
 
 class BatchedInference:
-    """Functional end-to-end inference driver over one leased AP pool.
+    """Functional end-to-end inference driver over one execution plan.
 
     Args:
         model: a module tree built from :mod:`repro.nn.layers`.
@@ -936,20 +936,16 @@ class BatchedInference:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the executor's pooled workers and the leased AP pool.
+        """Release the executor's pooled workers.
 
-        Idempotent and exception-safe: a second call is a no-op, and the AP
-        pool is released even if draining/closing the executor raises - a
-        failed pipelined run cannot leak a worker pool or pooled APs.
+        Idempotent: a second call is a no-op, even when the first one
+        raised - a failed pipelined run cannot close a worker pool twice.
         """
         if self._closed:
             return
         self._closed = True
-        try:
-            # Executor.close() drains its own in-flight futures first.
-            self.executor.close()
-        finally:
-            self.accelerator.release_aps()
+        # Executor.close() waits for its running tasks first.
+        self.executor.close()
 
     def __enter__(self) -> "BatchedInference":
         return self

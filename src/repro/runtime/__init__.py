@@ -9,7 +9,9 @@ explicit pipeline:
    :class:`~repro.runtime.plan.TileProgram` objects addressed by
    ``(bank, tile, ap)``.
 2. A :class:`~repro.runtime.scheduler.Scheduler` walks the plan layer by
-   layer and dispatches each layer's tiles to a pluggable executor
+   layer and runs each tile as a one-instance staged wave - the same
+   :meth:`~repro.ap.backends.base.ExecutionBackend.execute_wave` device
+   contract functional inference uses - fanned out over a pluggable executor
    (``serial`` / ``parallel`` process pool / ``thread`` pool).
 3. Per-tile :class:`~repro.cam.stats.CAMStats` are reduced with
    order-independent reductions, so parallel output is byte-identical to
@@ -33,16 +35,10 @@ from repro.runtime.executors import (
     ParallelExecutor,
     SerialExecutor,
     ThreadExecutor,
-    TileResult,
     available_executors,
     resolve_executor,
 )
-from repro.runtime.pipeline import (
-    GroupTrace,
-    InFlightTracker,
-    PipelineScheduler,
-    PipelineTask,
-)
+from repro.runtime.pipeline import GroupTrace, InFlightTracker
 from repro.runtime.plan import (
     ExecutionPlan,
     PlannedLayer,
@@ -87,7 +83,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "ThreadExecutor",
-    "TileResult",
     "available_executors",
     "resolve_executor",
     "ExecutionPlan",
@@ -101,7 +96,5 @@ __all__ = [
     "Scheduler",
     "GroupTrace",
     "InFlightTracker",
-    "PipelineScheduler",
-    "PipelineTask",
     "execute_model",
 ]

@@ -1,28 +1,23 @@
-"""Pluggable executors: run tile programs serially or on worker pools.
+"""Pluggable executors: run staged waves serially or on worker pools.
 
 Three executors ship with the runtime:
 
-* ``serial`` - one work item after another in the calling process.  When
-  handed an :class:`~repro.arch.accelerator.Accelerator` it leases pooled
-  functional APs from it (reset between leases), which keeps large synthetic
-  plans allocation-free.
+* ``serial`` - one work item after another in the calling process.
 * ``parallel`` - a process pool (``workers`` processes); the default parallel
   executor, immune to the GIL, intended for the Python-heavy ``reference``
   backend and for many-tile plans.
 * ``thread`` - a thread pool; lighter start-up, useful when the ``vectorized``
   backend spends its time in NumPy kernels that release the GIL.
 
-Every executor exposes three dispatch surfaces:
+Every executor exposes two dispatch surfaces over one device contract,
+:meth:`~repro.ap.backends.base.ExecutionBackend.execute_wave`:
 
-* :meth:`Executor.map_wave` - the device contract of functional inference:
-  one staged wave group on one backend.  Native-wave backends run it in the
-  calling thread; per-instance backends split its instances over the pool.
+* :meth:`Executor.map_wave` - one staged wave group of functional inference
+  on one backend.  Native-wave backends run it in the calling thread;
+  per-instance backends split its instances over the pool.
 * :meth:`Executor.map_tasks` - an order-preserving map of a picklable worker
-  over payloads (the synthetic tile path of :meth:`Executor.run`, and the
-  chunk fan-out behind ``map_wave``).
-* ``submit_tasks``/``drain`` - the asynchronous pair used by the
-  dependency-driven synthetic pipeline (:mod:`repro.runtime.pipeline`),
-  which interleaves work items from several layers and requests on one pool.
+  over payloads: the chunk fan-out behind ``map_wave``, and the synthetic
+  scheduler's per-tile one-instance waves (:mod:`repro.runtime.scheduler`).
 
 Determinism: a work item's result depends only on its programs and inputs,
 and the backend contract guarantees byte-identical
@@ -33,123 +28,18 @@ the same order-independent reductions.
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Type, Union
-
-import numpy as np
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional, Sequence, Type, Union
 
 from repro import telemetry
-from repro.ap.backends import DEFAULT_BACKEND, BackendSpec, resolve_backend
+from repro.ap.backends import BackendSpec, resolve_backend
 from repro.ap.backends.base import StagedWaveInputs, WaveResult
-from repro.cam.stats import CAMStats
 from repro.errors import ConfigurationError
 from repro.rtm.timing import RTMTechnology
-from repro.runtime.plan import TileProgram
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.arch.accelerator import Accelerator
-
-
-@dataclass(frozen=True)
-class TileResult:
-    """Outcome of executing one tile program on one AP.
-
-    ``checksum`` folds every output vector of every slice program into one
-    integer; it is exact (Python integers), order-independent under summation
-    and byte-identical across backends, so executor and backend equivalence
-    can be asserted on aggregated results alone.
-    """
-
-    tile_index: int
-    layer_index: int
-    address: tuple
-    stats: CAMStats
-    checksum: int
-    duration_s: float
-
-
-def generate_tile_inputs(
-    program, rows: int, seed: int, activation_bits: int, signed: bool
-) -> Dict[str, np.ndarray]:
-    """Deterministic input activations for one slice program of a tile."""
-    rng = np.random.default_rng(seed)
-    if signed:
-        low, high = -(1 << (activation_bits - 1)), (1 << (activation_bits - 1))
-    else:
-        low, high = 0, 1 << activation_bits
-    return {
-        name: rng.integers(low, high, size=rows)
-        for name in program.input_columns
-    }
-
-
-def run_tile_program(
-    tile: TileProgram,
-    tile_index: int,
-    columns: int,
-    backend: str,
-    technology: Optional[RTMTechnology] = None,
-    ap=None,
-) -> TileResult:
-    """Execute one tile program and snapshot its counters.
-
-    All slice programs of the tile run back to back on one AP (the pooled
-    hardware AP holds every input channel of its group), so the tile's
-    counters include any cross-slice column reuse exactly as the hardware
-    would see it.  When ``ap`` is omitted a fresh functional AP is created -
-    a leased pooled AP (already reset) produces byte-identical results.
-    """
-    from repro.ap.core import AssociativeProcessor
-
-    start = time.perf_counter()
-    with telemetry.span(
-        "device.tile",
-        category="device",
-        layer=tile.layer_index,
-        tile=tile_index,
-        ap=str(tuple(tile.address)),
-        backend=backend,
-    ):
-        if ap is None:
-            ap = AssociativeProcessor(
-                rows=tile.rows,
-                columns=columns,
-                technology=technology,
-                backend=backend,
-            )
-        checksum = 0
-        for offset, program in enumerate(tile.programs):
-            inputs = generate_tile_inputs(
-                program,
-                tile.rows,
-                tile.input_seed + offset,
-                tile.activation_bits,
-                tile.signed_activations,
-            )
-            outputs = ap.run_program(program, inputs, num_rows=tile.rows)
-            for name in sorted(outputs):
-                checksum += int(np.asarray(outputs[name], dtype=np.int64).sum())
-    return TileResult(
-        tile_index=tile_index,
-        layer_index=tile.layer_index,
-        address=tuple(tile.address),
-        stats=ap.reset_stats(),
-        checksum=checksum,
-        duration_s=time.perf_counter() - start,
-    )
-
-
-def _pool_worker(payload, ap=None) -> TileResult:
-    """Module-level worker so process pools can pickle the call."""
-    tile, tile_index, columns, backend, technology = payload
-    return run_tile_program(tile, tile_index, columns, backend, technology, ap=ap)
 
 
 def _wave_chunk(payload) -> List[WaveResult]:
-    """Module-level worker: one contiguous instance chunk of a wave group."""
+    """Module-level worker: one staged wave (or a contiguous chunk of one)."""
     backend, programs, staged, rows, columns, technology = payload
     return backend.execute_wave(programs, staged, rows, columns, technology)
 
@@ -186,38 +76,12 @@ def mp_context():
     return multiprocessing.get_context()
 
 
-#: A callable mapping one payload to a pre-leased AP (serial execution only;
-#: pool workers always build their own AP - the lease contract guarantees the
-#: two are byte-identical).
-LeaseFn = Callable[[object], object]
-
-
-def make_lease(accelerator: "Accelerator", columns: int, backend) -> LeaseFn:
-    """Build the payload -> leased-AP mapping of the serial execution path.
-
-    The single place the lease geometry is decided: the pooled AP is sized
-    exactly like the fresh AP a pool worker would build for the same payload
-    (``tile.rows`` x ``columns`` on ``backend``), which is what keeps serial
-    leased execution byte-identical to pool-worker execution.  Payloads must
-    carry their :class:`~repro.runtime.plan.TileProgram` first, as the
-    synthetic tile path's do.
-    """
-
-    def lease(payload):
-        tile = payload[0]
-        return accelerator.lease_ap(
-            tile.address, rows=tile.rows, columns=columns, backend=backend
-        )
-
-    return lease
-
-
 class Executor:
-    """Base class of the tile-program executors.
+    """Base class of the wave executors.
 
     Subclasses implement :meth:`map_tasks` - a generic order-preserving map of
-    a picklable worker function over payloads.  The synthetic-input tile path
-    (:meth:`run`) and the per-instance chunks of inference waves
+    a picklable worker function over payloads.  The synthetic scheduler's
+    one-instance tile waves and the per-instance chunks of inference waves
     (:meth:`map_wave`) both dispatch through it, so every executor serves
     both workloads with one scheduling policy.
     """
@@ -230,16 +94,8 @@ class Executor:
     #: straight into the installed tracer.
     ships_spans = False
 
-    def map_tasks(
-        self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
-    ) -> List:
-        """Apply ``fn`` to every payload, returning results in payload order.
-
-        ``lease`` (optional) maps a payload to a pre-leased functional AP; it
-        is honoured only by in-process execution - pool workers build fresh
-        APs in their own process, which the lease contract guarantees to be
-        indistinguishable.
-        """
+    def map_tasks(self, fn: Callable, payloads: Sequence) -> List:
+        """Apply ``fn`` to every payload, returning results in payload order."""
         raise NotImplementedError
 
     def map_wave(
@@ -282,68 +138,12 @@ class Executor:
                 results.extend(chunk)
             return results
 
-    def submit_tasks(
-        self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
-    ) -> List[Future]:
-        """Asynchronously apply ``fn`` to payloads, returning one future each.
-
-        The async counterpart of :meth:`map_tasks`, used by the pipelined
-        dispatch engine (:mod:`repro.runtime.pipeline`): callers interleave
-        submissions from several pipeline stages and reap completions in any
-        order.  The base implementation executes synchronously in the calling
-        thread (the serial semantics) and returns already-settled futures;
-        pool executors override it with real asynchronous submission.
-
-        ``lease`` is honoured only by in-process execution, exactly like
-        :meth:`map_tasks`.
-        """
-        telemetry.instant(
-            "executor.submit_tasks", executor=self.name, tasks=len(payloads)
-        )
-        futures: List[Future] = []
-        for payload in payloads:
-            future: Future = Future()
-            try:
-                result = fn(payload) if lease is None else fn(payload, lease(payload))
-            except BaseException as error:  # noqa: BLE001 - stored on future
-                future.set_exception(error)
-            else:
-                future.set_result(result)
-            futures.append(future)
-        return futures
-
-    def drain(self) -> None:
-        """Block until every task submitted via :meth:`submit_tasks` settles.
-
-        No-op for synchronous executors (their futures settle on submit).
-        Teardown paths call this so a failed pipelined run never leaves
-        workers racing a closed executor.
-        """
-
-    def run(
-        self,
-        tiles: Sequence[TileProgram],
-        columns: int,
-        backend: str = DEFAULT_BACKEND,
-        technology: Optional[RTMTechnology] = None,
-        accelerator: Optional["Accelerator"] = None,
-    ) -> List[TileResult]:
-        """Execute ``tiles`` (synthetic seeded inputs) in tile order."""
-        payloads = [
-            (tile, index, columns, backend, technology)
-            for index, tile in enumerate(tiles)
-        ]
-        lease: Optional[LeaseFn] = None
-        if accelerator is not None:
-            lease = make_lease(accelerator, columns, backend)
-        return self.map_tasks(_pool_worker, payloads, lease=lease)
-
     def close(self) -> None:
         """Release pooled workers (no-op for poolless executors)."""
 
 
 class SerialExecutor(Executor):
-    """Runs every tile in the calling process, one after another."""
+    """Runs every work item in the calling process, one after another."""
 
     name = "serial"
 
@@ -352,16 +152,12 @@ class SerialExecutor(Executor):
         # constructor-compatible; the serial executor always uses one.
         self.workers = 1
 
-    def map_tasks(
-        self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
-    ) -> List:
-        if lease is None:
-            return [fn(payload) for payload in payloads]
-        return [fn(payload, lease(payload)) for payload in payloads]
+    def map_tasks(self, fn: Callable, payloads: Sequence) -> List:
+        return [fn(payload) for payload in payloads]
 
 
 class ParallelExecutor(Executor):
-    """Fans tiles out over a process pool (order-preserving ``map``)."""
+    """Fans work items out over a process pool (order-preserving ``map``)."""
 
     name = "parallel"
     ships_spans = True
@@ -371,8 +167,6 @@ class ParallelExecutor(Executor):
 
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._inflight: "set[Future]" = set()
-        self._inflight_lock = threading.Lock()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -381,12 +175,10 @@ class ParallelExecutor(Executor):
             )
         return self._pool
 
-    def map_tasks(
-        self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
-    ) -> List:
+    def map_tasks(self, fn: Callable, payloads: Sequence) -> List:
         payloads = list(payloads)
         if self.workers <= 1 or len(payloads) <= 1:
-            return SerialExecutor().map_tasks(fn, payloads, lease=lease)
+            return SerialExecutor().map_tasks(fn, payloads)
         pool = self._ensure_pool()
         chunksize = max(1, len(payloads) // (self.workers * 4))
         tracer = telemetry.get_tracer()
@@ -405,76 +197,16 @@ class ParallelExecutor(Executor):
             return results
         return list(pool.map(fn, payloads, chunksize=chunksize))
 
-    def submit_tasks(
-        self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
-    ) -> List[Future]:
-        # Leases are in-process state; pool workers always build fresh APs
-        # (the lease contract guarantees byte-identical results), exactly as
-        # in map_tasks.
-        if self.workers <= 1:
-            return super().submit_tasks(fn, payloads, lease=lease)
-        telemetry.instant(
-            "executor.submit_tasks", executor=self.name, tasks=len(payloads)
-        )
-        pool = self._ensure_pool()
-        tracer = telemetry.get_tracer()
-        ship = tracer is not None and self.ships_spans
-        futures: List[Future] = []
-        for payload in payloads:
-            if ship:
-                pool_future = pool.submit(_traced_task, (fn, payload))
-                future = self._unwrap_shipped(pool_future, tracer)
-            else:
-                future = pool.submit(fn, payload)
-                pool_future = future
-            with self._inflight_lock:
-                self._inflight.add(pool_future)
-            pool_future.add_done_callback(self._discard_inflight)
-            futures.append(future)
-        return futures
-
-    def _unwrap_shipped(self, pool_future: Future, tracer) -> Future:
-        """Chain a pool future carrying ``(result, spans)`` to a plain one.
-
-        The pool future stays in ``_inflight`` (so :meth:`drain` still waits
-        on the real worker); callers get a fresh future that settles - after
-        the parent absorbs the shipped span batch - with the bare result.
-        """
-        unwrapped: Future = Future()
-
-        def _settle(done: Future) -> None:
-            try:
-                result, events = done.result()
-            except BaseException as error:  # noqa: BLE001 - re-settled below
-                unwrapped.set_exception(error)
-            else:
-                tracer.absorb(events)
-                unwrapped.set_result(result)
-
-        pool_future.add_done_callback(_settle)
-        return unwrapped
-
-    def _discard_inflight(self, future: Future) -> None:
-        with self._inflight_lock:
-            self._inflight.discard(future)
-
-    def drain(self) -> None:
-        with self._inflight_lock:
-            outstanding = list(self._inflight)
-        if outstanding:
-            wait(outstanding)
-
     def close(self) -> None:
-        # Idempotent and exception-safe: drain first so no worker is still
-        # executing when the pool is torn down, then shut the pool down once.
-        self.drain()
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        # Idempotent: shutdown() waits for running tasks, then the pool is
+        # dropped so a second close is a no-op.
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
 
 class ThreadExecutor(ParallelExecutor):
-    """Fans tiles out over a thread pool (shares the process heap).
+    """Fans work items out over a thread pool (shares the process heap).
 
     Worker threads record spans straight into the installed tracer (their
     distinct tids become per-worker tracks in the Chrome export), so no

@@ -1,7 +1,11 @@
 """The runtime scheduler: walks an execution plan layer by layer.
 
-The :class:`Scheduler` dispatches each layer's tile programs to a pluggable
-executor (:mod:`repro.runtime.executors`), reduces the per-tile
+The :class:`Scheduler` runs every tile program of a layer as a one-instance
+staged wave (:class:`~repro.ap.backends.base.StagedWaveInputs` of seeded
+synthetic inputs) through the device contract of functional inference,
+:meth:`~repro.ap.backends.base.ExecutionBackend.execute_wave`, fanning a
+layer's tiles out over a pluggable executor
+(:mod:`repro.runtime.executors`).  It reduces the per-tile
 :class:`~repro.cam.stats.CAMStats` with order-independent reductions (integer
 sums and per-round maxima), and charges interconnect traffic for the
 inter-AP adder-tree merges through the accelerator's
@@ -16,10 +20,10 @@ Determinism guarantee
 ---------------------
 Per-tile inputs derive from per-tile seeds, per-tile counters are exact
 integers, and every reduction used here (integer sum, per-round maximum) is
-order-independent - so ``serial`` and ``parallel`` execution of the same plan
-produce byte-identical aggregated counters, as do the ``reference`` and
-``vectorized`` backends (whose per-instruction equivalence is enforced by the
-backend test suite).
+order-independent - so ``serial``, ``thread`` and ``parallel`` execution of
+the same plan produce byte-identical aggregated counters, as do the
+``reference``, ``vectorized`` and ``batched`` backends (whose wave
+equivalence is enforced by the backend test suite).
 """
 
 from __future__ import annotations
@@ -28,11 +32,15 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+import numpy as np
+
 from repro import telemetry
+from repro.ap.backends import resolve_backend
+from repro.ap.backends.base import StagedWaveInputs
 from repro.cam.stats import CAMStats
 from repro.errors import ConfigurationError
 from repro.perf.breakdown import EnergyBreakdown, LatencyBreakdown
-from repro.runtime.executors import ExecutorSpec, resolve_executor
+from repro.runtime.executors import ExecutorSpec, _wave_chunk, resolve_executor
 from repro.runtime.plan import ExecutionPlan, PlannedLayer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -91,8 +99,8 @@ class PlanExecution:
     layers: List[LayerRunResult] = field(default_factory=list)
     wall_time_s: float = 0.0
     #: Dispatch discipline that produced the run: ``"layer-sync"`` (barrier
-    #: per layer) or ``"pipelined"`` (dependency-driven, see
-    #: :mod:`repro.runtime.pipeline`).  Counters are byte-identical across
+    #: per layer) or ``"pipelined"`` (dependency-driven inference, see
+    #: :mod:`repro.inference.engine`).  Counters are byte-identical across
     #: the two; only wall-clock differs.
     mode: str = "layer-sync"
 
@@ -156,6 +164,42 @@ class PlanExecution:
             if layer.name == name:
                 return layer
         raise ConfigurationError(f"no layer named {name!r} in plan execution")
+
+
+def generate_tile_inputs(
+    program, rows: int, seed: int, activation_bits: int, signed: bool
+) -> Dict[str, np.ndarray]:
+    """Deterministic input activations for one slice program of a tile."""
+    rng = np.random.default_rng(seed)
+    if signed:
+        low, high = -(1 << (activation_bits - 1)), (1 << (activation_bits - 1))
+    else:
+        low, high = 0, 1 << activation_bits
+    return {
+        name: rng.integers(low, high, size=rows)
+        for name in program.input_columns
+    }
+
+
+def tile_wave_inputs(tile) -> StagedWaveInputs:
+    """One tile's seeded synthetic operands as a one-instance staged wave.
+
+    Slice program ``j`` draws from seed ``tile.input_seed + j``.
+    """
+    values = [
+        {
+            name: batch[None, :]
+            for name, batch in generate_tile_inputs(
+                program,
+                tile.rows,
+                tile.input_seed + offset,
+                tile.activation_bits,
+                tile.signed_activations,
+            ).items()
+        }
+        for offset, program in enumerate(tile.programs)
+    ]
+    return StagedWaveInputs(1, tile.rows, values)
 
 
 def aggregate_layer_run(
@@ -271,7 +315,7 @@ class Scheduler:
     """Walks an :class:`~repro.runtime.plan.ExecutionPlan` layer by layer.
 
     Args:
-        accelerator: AP provider and interconnect owner.  Tile counters and
+        accelerator: ledger and interconnect owner.  Tile counters and
             movement costs are charged back into it (per-tile aggregation).
         executor: executor name (``serial``/``parallel``/``thread``), class or
             instance.
@@ -310,10 +354,11 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _run_layer(self, layer: PlannedLayer, columns: int) -> LayerRunResult:
         technology = self.accelerator.config.technology
+        backend = resolve_backend(self.backend)
         for tile in layer.tiles:
             # Residency accounting happens at dispatch time (pool workers
-            # build their APs in other processes): pinned tiles are warm,
-            # everything else charges a lease + CAM reprogram.
+            # run in other processes): pinned tiles are warm, everything
+            # else charges a lease + CAM reprogram.
             self.accelerator.account_tile_dispatch(tile)
         started = time.perf_counter()
         with telemetry.span(
@@ -323,13 +368,16 @@ class Scheduler:
             executor=self.executor.name,
             backend=str(self.backend),
         ):
-            results = self.executor.run(
-                layer.tiles,
-                columns,
-                backend=self.backend,
-                technology=technology,
-                accelerator=self.accelerator,
-            )
+            # Every tile is a one-instance wave on a fresh tile.rows-row AP;
+            # the executor fans the layer's tiles out.
+            payloads = [
+                (backend, tile.programs, tile_wave_inputs(tile), tile.rows,
+                 columns, technology)
+                for tile in layer.tiles
+            ]
+            results = [
+                wave for (wave,) in self.executor.map_tasks(_wave_chunk, payloads)
+            ]
         wall = time.perf_counter() - started
 
         movement = charge_adder_tree_movement(self.accelerator, layer)
@@ -347,7 +395,7 @@ class Scheduler:
         """Release the executor's pooled workers (idempotent).
 
         Safe to call repeatedly and from ``finally`` blocks: the first call
-        drains and shuts the executor down, later calls are no-ops, so a
+        shuts the executor down, later calls are no-ops, so a
         failed run can never leak a worker pool.
         """
         if getattr(self, "_closed", False):

@@ -58,7 +58,6 @@ from repro.runtime.plan import (
     build_execution_plan,
     resident_aps_required,
 )
-from repro.runtime.pipeline import PipelineScheduler
 from repro.runtime.scheduler import PlanExecution, Scheduler
 from repro.session import cache as compile_cache
 from repro.session.config import SessionConfig
@@ -665,21 +664,17 @@ class Session:
             raise first_error
         return results
 
-    def run(self, pipeline: Optional[bool] = None) -> PlanExecution:
+    def run(self) -> PlanExecution:
         """Serve one synthetic request: seeded tile inputs, exact counters.
 
-        The deterministic workload of the legacy ``repro run`` path, executed
+        The deterministic workload of the ``repro run`` path, executed
         against the *resident* deployment: same tile programs, same seeds,
-        but the dispatches are warm.  With ``pipeline`` (default:
-        ``SessionConfig.pipeline``) the plan is walked by the
-        dependency-driven :class:`~repro.runtime.pipeline.PipelineScheduler`
-        instead of the layer-synchronous scheduler - byte-identical counters
-        either way.
+        but the dispatches are warm.  Every tile runs as a one-instance
+        staged wave through the layer-synchronous
+        :class:`~repro.runtime.scheduler.Scheduler`.
         """
         self._require(SessionState.DEPLOYED)
-        pipelined = self.config.pipeline if pipeline is None else pipeline
-        scheduler_type = PipelineScheduler if pipelined else Scheduler
-        scheduler = scheduler_type(
+        scheduler = Scheduler(
             self.accelerator, executor=self._executor, backend=self.config.backend
         )
         # The session owns the executor; Scheduler.close() is NOT called so
@@ -834,7 +829,7 @@ class Session:
     # Teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the serving pool, executor pool, pinned leases and APs.
+        """Release the serving pool, executor pool and pinned leases.
 
         Idempotent and exception-safe: calling it twice is a no-op, every
         teardown stage runs even if an earlier one raises, and outstanding
@@ -861,8 +856,6 @@ class Session:
                 try:
                     if self.accelerator is not None:
                         self.accelerator.unpin_aps()
-                        if self._driver is None:
-                            self.accelerator.release_aps()
                 finally:
                     self._finalize_trace()
 

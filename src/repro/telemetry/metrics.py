@@ -387,9 +387,10 @@ def record_pipeline_trace(
 ) -> None:
     """Mirror per-AP-group in-flight traces (peak depth, dispatches) as gauges.
 
-    Accepts the :class:`~repro.runtime.pipeline.GroupTrace` objects from an
-    ``InFlightTracker`` (duck-typed on ``group``/``dispatches``/
-    ``max_in_flight``).
+    Accepts the :class:`~repro.runtime.pipeline.GroupTrace` snapshots of
+    the pipelined inference engine's ``InFlightTracker`` - one per resident
+    layer's AP group (duck-typed on ``group``/``dispatches``/
+    ``max_in_flight``, the high-water mark).
     """
     depth = registry.gauge(
         "pipeline_peak_depth", "peak concurrent work items per AP group"

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.analysis import (
+    PlanTask,
     build_pipeline_tasks,
     verify_execution_plan,
     verify_task_graph,
@@ -20,7 +21,6 @@ from repro.arch.accelerator import Accelerator
 from repro.arch.allocator import LayerDemand, allocate_layer
 from repro.arch.config import APConfig, ArchitectureConfig
 from repro.errors import AnalysisError, CapacityError
-from repro.runtime.pipeline import PipelineTask
 from repro.runtime.plan import build_execution_plan
 
 
@@ -131,10 +131,7 @@ class TestAddressing:
 
 class TestTaskGraph:
     def _task(self, key, depends_on=()):
-        return PipelineTask(
-            key=key, group=0, fn=lambda payload: payload, payload=None,
-            depends_on=tuple(depends_on),
-        )
+        return PlanTask(key=key, group=0, depends_on=tuple(depends_on))
 
     def test_cycle_is_rpa203(self):
         tasks = [

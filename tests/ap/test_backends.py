@@ -316,20 +316,20 @@ class TestRandomizedPrograms:
 
 
 class TestAcceleratorThreading:
-    def test_functional_ap_inherits_backend(self, tiny_architecture):
+    def test_plan_runs_inherit_accelerator_backend(self, tiny_architecture):
         from repro.arch.accelerator import Accelerator
+        from repro.runtime import Scheduler
 
         accelerator = Accelerator(config=tiny_architecture, backend="vectorized")
-        ap = accelerator.functional_ap((0, 0, 0))
-        assert ap.backend.name == "vectorized"
+        assert accelerator.backend == "vectorized"
+        assert Scheduler(accelerator).backend == "vectorized"
 
     def test_default_backend_is_the_session_default(self, tiny_architecture):
         from repro.ap.backends import DEFAULT_BACKEND
         from repro.arch.accelerator import Accelerator
 
         accelerator = Accelerator(config=tiny_architecture)
-        ap = accelerator.functional_ap((0, 0, 0))
-        assert ap.backend.name == DEFAULT_BACKEND
+        assert accelerator.backend == DEFAULT_BACKEND
 
     def test_env_override_selects_default(self, monkeypatch):
         from repro.ap import backends as backends_module

@@ -224,3 +224,31 @@ class TestMultiDestination:
         outputs = ap.run_program(program, {"a": [3, -4, 10], "b": [8, 2, -15]})
         assert list(outputs["y"]) == [11, -2, -5]
         assert list(outputs["y_copy"]) == [11, -2, -5]
+
+
+class TestReset:
+    """A reset AP is indistinguishable from a fresh one.
+
+    ``ExecutionBackend.execute_instances`` relies on this: it runs every
+    instance of a wave on one AP, resetting it in between.
+    """
+
+    def test_reset_wipes_state_and_counters(self):
+        ap = AssociativeProcessor(rows=16, columns=8)
+        ap.add_vectors([1] * 16, [2] * 16, width=4)
+        assert ap.stats.search_phases > 0
+        ap.array.reset()
+        assert ap.stats.search_phases == 0
+        assert not ap.array._bits.any()
+        assert not ap.array._port_positions.any()
+
+    def test_reset_ap_matches_fresh_ap_counters(self):
+        reused = AssociativeProcessor(rows=12, columns=8)
+        reused.sub_vectors(list(range(12)), [3] * 12, width=6)
+        reused.array.reset()
+        fresh = AssociativeProcessor(rows=12, columns=8)
+        a, b = list(range(12)), list(range(12, 0, -1))
+        assert np.array_equal(
+            reused.add_vectors(a, b, width=6), fresh.add_vectors(a, b, width=6)
+        )
+        assert reused.stats == fresh.stats

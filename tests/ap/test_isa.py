@@ -152,6 +152,14 @@ class TestAPProgram:
         assert program.max_column_used == 7
         assert program.max_domain_used == 15
 
+    def test_max_column_used_counts_passthrough_io(self):
+        """An output that passes an input through still occupies its column."""
+        program = APProgram(name="passthrough")
+        program.append(self._add(region(3), region(1), region(2)))
+        program.input_columns = {"a": region(1), "b": region(2), "c": region(5)}
+        program.output_columns = {"y": region(3), "z": region(5)}
+        assert program.max_column_used == 5
+
     def test_listing_contains_instructions(self):
         program = APProgram(name="demo")
         program.append(self._add(region(3), region(1), region(2)))

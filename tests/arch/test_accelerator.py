@@ -35,71 +35,6 @@ class TestHierarchy:
         assert "64x64" in text
 
 
-class TestFunctionalAPs:
-    def test_lazily_instantiated_and_cached(self, accelerator):
-        ap_a = accelerator.functional_ap((0, 0, 0))
-        ap_b = accelerator.functional_ap((0, 0, 0))
-        assert ap_a is ap_b
-        assert ap_a.rows == accelerator.config.ap.rows
-
-    def test_different_addresses_get_different_aps(self, accelerator):
-        assert accelerator.functional_ap((0, 0, 0)) is not accelerator.functional_ap((0, 0, 1))
-
-
-class TestPooledLeases:
-    """The accelerator is the runtime's AP provider: reset, sized leases."""
-
-    def test_lease_resets_state_and_counters(self, accelerator):
-        ap = accelerator.lease_ap((0, 0, 0), rows=16, columns=8)
-        ap.add_vectors([1] * 16, [2] * 16, width=4)
-        assert ap.stats.search_phases > 0
-        again = accelerator.lease_ap((0, 0, 0), rows=16, columns=8)
-        assert again is ap  # pooled, not rebuilt
-        assert again.stats.search_phases == 0
-        assert not again.array._bits.any()
-        assert not again.array._port_positions.any()
-
-    def test_lease_matches_fresh_ap_counters(self, accelerator):
-        from repro.ap.core import AssociativeProcessor
-
-        leased = accelerator.lease_ap((0, 0, 1), rows=12, columns=8)
-        fresh = AssociativeProcessor(
-            rows=12, columns=8,
-            technology=accelerator.config.technology,
-            backend=accelerator.backend,
-        )
-        a, b = list(range(12)), list(range(12, 0, -1))
-        leased.add_vectors(a, b, width=6)
-        fresh.add_vectors(a, b, width=6)
-        assert leased.stats == fresh.stats
-
-    def test_lease_rebuilds_on_geometry_change(self, accelerator):
-        first = accelerator.lease_ap((0, 0, 0), rows=16, columns=8)
-        second = accelerator.lease_ap((0, 0, 0), rows=32, columns=8)
-        assert second is not first
-        assert second.rows == 32
-
-    def test_lease_rebuilds_on_backend_change(self, accelerator):
-        first = accelerator.lease_ap((0, 0, 0), backend="vectorized")
-        second = accelerator.lease_ap((0, 0, 0), backend="reference")
-        assert second is not first
-        assert second.backend.name == "reference"
-
-    def test_lease_rejects_oversized_rows(self, accelerator):
-        with pytest.raises(CapacityError):
-            accelerator.lease_ap((0, 0, 0), rows=accelerator.config.ap.rows + 1)
-
-    def test_lease_rejects_oversized_columns(self, accelerator):
-        with pytest.raises(CapacityError):
-            accelerator.lease_ap((0, 0, 0), columns=accelerator.config.ap.columns + 1)
-
-    def test_release_aps_empties_the_pool(self, accelerator):
-        accelerator.lease_ap((0, 0, 0))
-        accelerator.lease_ap((0, 0, 1))
-        assert accelerator.release_aps() == 2
-        assert accelerator.release_aps() == 0
-
-
 class TestRuntimeLedgers:
     def test_record_tile_stats_aggregates_per_tile(self, accelerator):
         from repro.cam.stats import CAMStats

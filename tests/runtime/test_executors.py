@@ -1,20 +1,24 @@
-"""Executor equivalence: serial / parallel / thread, reference / vectorized."""
+"""Executor equivalence: serial / parallel / thread x every backend."""
 
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.ap.backends import resolve_backend
 from repro.arch.accelerator import Accelerator
 from repro.core.compiler import CompilerConfig, compile_model
+from repro.core.frontend import specs_for_network
 from repro.errors import ConfigurationError
-from repro.runtime import build_execution_plan
+from repro.runtime import build_execution_plan, resident_aps_required
 from repro.runtime.executors import (
     ParallelExecutor,
     SerialExecutor,
     ThreadExecutor,
+    _wave_chunk,
     available_executors,
-    generate_tile_inputs,
     resolve_executor,
 )
+from repro.runtime.scheduler import generate_tile_inputs, tile_wave_inputs
 
 
 @pytest.fixture(scope="module")
@@ -148,21 +152,104 @@ class TestExecutorEquivalence:
         assert first.checksum == second.checksum
 
     def test_results_preserve_tile_order(self, small_plan, tiny_architecture_module):
+        """A pool returns each tile's one-instance wave in tile order."""
+        tiles = small_plan.layers[0].tiles
+        backend = resolve_backend("vectorized")
+        payloads = [
+            (backend, tile.programs, tile_wave_inputs(tile), tile.rows,
+             small_plan.lease_columns, tiny_architecture_module.technology)
+            for tile in tiles
+        ]
+        expected = SerialExecutor().map_tasks(_wave_chunk, payloads)
         executor = resolve_executor("parallel", workers=2)
         try:
-            tiles = small_plan.layers[0].tiles
-            results = executor.run(
-                tiles,
-                small_plan.required_columns,
-                backend="vectorized",
-                technology=tiny_architecture_module.technology,
-            )
-            assert [result.tile_index for result in results] == list(range(len(tiles)))
-            assert [result.address for result in results] == [
-                tuple(tile.address) for tile in tiles
-            ]
+            results = executor.map_tasks(_wave_chunk, payloads)
         finally:
             executor.close()
+        assert len(results) == len(tiles)
+        for (got,), (want,) in zip(results, expected):
+            assert got.stats == want.stats
+            assert got.checksum == want.checksum
+            assert np.array_equal(got.outputs, want.outputs)
+
+
+@pytest.fixture(scope="module")
+def vgg9_sampled():
+    """Unsigned and signed vgg9 compiles, two input-channel slices per layer."""
+    specs = specs_for_network("vgg9", sparsity=0.85, rng=0)
+    return {
+        signed: compile_model(
+            specs,
+            CompilerConfig(
+                activation_bits=4, signed_activations=signed, max_slices_per_layer=2
+            ),
+            name="vgg9",
+            emit_programs=True,
+        )
+        for signed in (False, True)
+    }
+
+
+def _synthetic_run(compiled, placement, executor, backend):
+    """One synthetic plan run; returns everything that must be byte-identical."""
+    accelerator = Accelerator(backend=backend)
+    if placement == "resident":
+        accelerator = Accelerator(
+            config=accelerator.config.with_total_aps(resident_aps_required(compiled)),
+            backend=backend,
+        )
+    plan = build_execution_plan(compiled, accelerator=accelerator, placement=placement)
+    if placement == "resident":
+        accelerator.deploy_plan(plan)
+    with telemetry.capture() as tracer:
+        execution = accelerator.execute_plan(plan, executor=executor, workers=2)
+    events = tracer.drain()
+    outcome = {
+        "layers": [
+            (layer.name, layer.stats, layer.checksum, layer.energy_uj,
+             layer.latency_ms, layer.total_ops)
+            for layer in execution.layers
+        ],
+        "energy_uj": execution.energy_uj,
+        "latency_ms": execution.latency_ms,
+        "tile_stats": accelerator.tile_stats(),
+        "movement": accelerator.movement_ledger(),
+        "residency": accelerator.residency,
+    }
+    return outcome, plan, events
+
+
+class TestSyntheticRunMatrix:
+    """Every (executor, backend) runs synthetic plans byte-identically."""
+
+    @pytest.fixture(scope="class")
+    def baselines(self, vgg9_sampled):
+        return {
+            (placement, signed): _synthetic_run(
+                vgg9_sampled[signed], placement, "serial", "vectorized"
+            )[0]
+            for placement in ("shared", "resident")
+            for signed in (False, True)
+        }
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized", "batched"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "parallel"])
+    def test_matches_serial_vectorized(
+        self, vgg9_sampled, baselines, executor, backend
+    ):
+        for placement in ("shared", "resident"):
+            for signed in (False, True):
+                outcome, plan, events = _synthetic_run(
+                    vgg9_sampled[signed], placement, executor, backend
+                )
+                assert outcome == baselines[(placement, signed)], (placement, signed)
+                if backend == "batched":
+                    # Every tile is one native wave; none declines.
+                    waves = [e for e in events if e.name == "backend.wave"]
+                    assert len(waves) == plan.num_tiles
+                    assert not [
+                        e for e in events if e.name == "backend.wave_decline"
+                    ]
 
 
 class TestMapWave:

@@ -1,181 +1,9 @@
-"""Dependency-driven pipelined dispatch: equivalence, frontier, tracking."""
-
-import threading
+"""In-flight accounting per AP group (pipelined inference, cluster routing)."""
 
 import pytest
 
-from repro.arch.accelerator import Accelerator
-from repro.core.compiler import CompilerConfig, compile_model
-from repro.core.frontend import specs_for_network
-from repro.errors import ConfigurationError, SimulationError
-from repro.runtime import (
-    PipelineScheduler,
-    Scheduler,
-    build_execution_plan,
-    resident_aps_required,
-)
-from repro.runtime.executors import SerialExecutor, ThreadExecutor
-from repro.runtime.pipeline import InFlightTracker, PipelineTask
-
-
-@pytest.fixture(scope="module")
-def compiled_vgg9_sampled():
-    specs = specs_for_network("vgg9", sparsity=0.85, rng=0)
-    return compile_model(
-        specs,
-        CompilerConfig(activation_bits=4, max_slices_per_layer=2),
-        name="vgg9",
-        emit_programs=True,
-    )
-
-
-def _build(compiled, placement):
-    accelerator = Accelerator()
-    if placement == "resident":
-        accelerator = Accelerator(
-            config=accelerator.config.with_total_aps(
-                resident_aps_required(compiled)
-            )
-        )
-    plan = build_execution_plan(
-        compiled, accelerator=accelerator, placement=placement
-    )
-    return accelerator, plan
-
-
-class TestPipelineSchedulerEquivalence:
-    @pytest.mark.parametrize("placement", ["shared", "resident"])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_byte_identical_to_layer_synchronous(
-        self, compiled_vgg9_sampled, placement, executor
-    ):
-        """Pipelined dispatch changes wall-clock, not a single counter."""
-        acc_sync, plan_sync = _build(compiled_vgg9_sampled, placement)
-        acc_pipe, plan_pipe = _build(compiled_vgg9_sampled, placement)
-        with Scheduler(acc_sync, executor=executor, workers=2) as sync:
-            baseline = sync.run(plan_sync)
-        with PipelineScheduler(acc_pipe, executor=executor, workers=2) as pipe:
-            pipelined = pipe.run(plan_pipe)
-
-        assert pipelined.mode == "pipelined"
-        assert baseline.mode == "layer-sync"
-        assert pipelined.total_stats == baseline.total_stats
-        assert pipelined.checksum == baseline.checksum
-        assert pipelined.energy_uj == baseline.energy_uj
-        assert pipelined.latency_ms == baseline.latency_ms
-        for expected, actual in zip(baseline.layers, pipelined.layers):
-            assert actual.stats == expected.stats
-            assert actual.energy == expected.energy
-            assert actual.latency == expected.latency
-            assert actual.checksum == expected.checksum
-            assert actual.total_ops == expected.total_ops
-        # Accelerator-side ledgers agree too (stats and residency).
-        assert acc_pipe.tile_stats() == acc_sync.tile_stats()
-        assert acc_pipe.residency.warm_hits == acc_sync.residency.warm_hits
-        assert acc_pipe.residency.lease_events == acc_sync.residency.lease_events
-
-    def test_resident_plan_overlaps_layer_groups(self, compiled_vgg9_sampled):
-        """Every resident layer group sees dispatches (overlap witness)."""
-        accelerator, plan = _build(compiled_vgg9_sampled, "resident")
-        scheduler = PipelineScheduler(accelerator, executor="serial")
-        try:
-            scheduler.run(plan)
-        finally:
-            scheduler.close()
-        trace = scheduler.tracker.trace()
-        assert set(trace) == {layer.layer_index for layer in plan.layers}
-        for layer in plan.layers:
-            assert trace[layer.layer_index].dispatches == len(layer.tiles)
-            assert trace[layer.layer_index].in_flight == 0
-
-
-class TestRunGraphFrontier:
-    def _scheduler(self, **kwargs):
-        return PipelineScheduler(Accelerator(), executor="serial", **kwargs)
-
-    def test_dependencies_execute_before_dependents(self):
-        order = []
-
-        def record(payload):
-            order.append(payload)
-            return payload
-
-        tasks = [
-            PipelineTask(key=(1,), group="g", fn=record, payload=1, depends_on=((0,),)),
-            PipelineTask(key=(0,), group="g", fn=record, payload=0),
-            PipelineTask(key=(2,), group="g", fn=record, payload=2, depends_on=((1,),)),
-        ]
-        scheduler = self._scheduler()
-        results = scheduler.run_graph(tasks)
-        scheduler.close()
-        assert order == [0, 1, 2]
-        assert results == {(0,): 0, (1,): 1, (2,): 2}
-
-    def test_duplicate_keys_rejected(self):
-        tasks = [
-            PipelineTask(key=(0,), group="g", fn=lambda p: p, payload=0),
-            PipelineTask(key=(0,), group="g", fn=lambda p: p, payload=1),
-        ]
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            self._scheduler().run_graph(tasks)
-
-    def test_unknown_dependency_rejected(self):
-        tasks = [
-            PipelineTask(
-                key=(0,), group="g", fn=lambda p: p, payload=0, depends_on=((9,),)
-            )
-        ]
-        with pytest.raises(ConfigurationError, match="unknown"):
-            self._scheduler().run_graph(tasks)
-
-    def test_dependency_cycle_detected(self):
-        tasks = [
-            PipelineTask(
-                key=(0,), group="g", fn=lambda p: p, payload=0, depends_on=((1,),)
-            ),
-            PipelineTask(
-                key=(1,), group="g", fn=lambda p: p, payload=1, depends_on=((0,),)
-            ),
-        ]
-        with pytest.raises(SimulationError, match="cycle"):
-            self._scheduler().run_graph(tasks)
-
-    def test_worker_error_propagates_after_drain(self):
-        executed = []
-
-        def work(payload):
-            if payload == 1:
-                raise ValueError("boom")
-            executed.append(payload)
-            return payload
-
-        tasks = [
-            PipelineTask(key=(0,), group="g", fn=work, payload=0),
-            PipelineTask(key=(1,), group="g", fn=work, payload=1),
-            # Dependent of the failing task must never run.
-            PipelineTask(
-                key=(2,), group="g", fn=work, payload=2, depends_on=((1,),)
-            ),
-        ]
-        scheduler = self._scheduler()
-        with pytest.raises(ValueError, match="boom"):
-            scheduler.run_graph(tasks)
-        scheduler.close()
-        assert 2 not in executed
-
-    def test_group_cap_defers_to_completion(self):
-        """max_in_flight=1 serializes a group without deadlocking."""
-        scheduler = self._scheduler(max_in_flight=1)
-        tasks = [
-            PipelineTask(key=(index,), group="stage", fn=lambda p: p, payload=index)
-            for index in range(5)
-        ]
-        results = scheduler.run_graph(tasks)
-        scheduler.close()
-        assert len(results) == 5
-        trace = scheduler.tracker.trace()["stage"]
-        assert trace.dispatches == 5
-        assert trace.max_in_flight == 1
+from repro.errors import SimulationError
+from repro.runtime.pipeline import InFlightTracker
 
 
 class TestInFlightTracker:
@@ -190,68 +18,11 @@ class TestInFlightTracker:
         assert trace.in_flight == 2
         assert trace.max_in_flight == 2
 
-    def test_cap_blocks_until_exit(self):
-        tracker = InFlightTracker(max_in_flight=1)
-        tracker.enter("g")
-        assert not tracker.try_enter("g")
-        released = threading.Event()
-
-        def releaser():
-            released.wait()
-            tracker.exit("g")
-
-        thread = threading.Thread(target=releaser)
-        thread.start()
-        released.set()
-        tracker.enter("g")  # blocks until the releaser exits
-        thread.join()
-        assert tracker.trace()["g"].in_flight == 1
-
     def test_exit_underflow_raises(self):
         tracker = InFlightTracker()
         with pytest.raises(SimulationError, match="underflow"):
             tracker.exit("g")
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            InFlightTracker(max_in_flight=0)
-
-
-class TestExecutorAsyncInterface:
-    def test_serial_submit_returns_settled_futures(self):
-        executor = SerialExecutor()
-        futures = executor.submit_tasks(lambda p: p * 2, [1, 2, 3])
-        assert all(future.done() for future in futures)
-        assert [future.result() for future in futures] == [2, 4, 6]
-        executor.drain()  # no-op
-
-    def test_serial_submit_captures_exceptions(self):
-        executor = SerialExecutor()
-
-        def work(payload):
-            raise RuntimeError("bad payload")
-
-        (future,) = executor.submit_tasks(work, [1])
-        assert future.done()
-        with pytest.raises(RuntimeError, match="bad payload"):
-            future.result()
-
-    def test_thread_submit_and_drain(self):
-        executor = ThreadExecutor(workers=2)
-        try:
-            futures = executor.submit_tasks(lambda p: p + 1, list(range(8)))
-            executor.drain()
-            assert all(future.done() for future in futures)
-            assert sorted(future.result() for future in futures) == list(
-                range(1, 9)
-            )
-        finally:
-            executor.close()
-        executor.close()  # idempotent
-
-    def test_scheduler_close_idempotent(self):
-        scheduler = Scheduler(Accelerator(), executor="thread", workers=2)
-        scheduler.close()
-        scheduler.close()
-        with Scheduler(Accelerator(), executor="serial") as inner:
-            assert inner is not None
+        tracker.enter("g")
+        tracker.exit("g")
+        with pytest.raises(SimulationError, match="underflow"):
+            tracker.exit("g")

@@ -167,6 +167,15 @@ class TestSchedulerBackendSelection:
         assert scheduler.backend == "reference"
 
 
+class TestSchedulerLifecycle:
+    def test_close_idempotent(self):
+        scheduler = Scheduler(Accelerator(), executor="thread", workers=2)
+        scheduler.close()
+        scheduler.close()
+        with Scheduler(Accelerator(), executor="serial") as inner:
+            assert inner is not None
+
+
 class TestCrosscheckExecution:
     def test_layer_granularity_crosscheck(self, plan, accelerator):
         execution = accelerator.execute_plan(plan)

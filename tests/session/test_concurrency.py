@@ -144,26 +144,6 @@ class TestOverlappingRequests:
             assert np.array_equal(override.logits, result.logits)
 
 
-class TestPipelinedSyntheticRun:
-    def test_run_pipeline_flag_byte_identical(self, tiny_cnn):
-        model, shape = tiny_cnn
-        with Session(_config(model, shape)) as session:
-            session.compile().deploy()
-            deployed = session.residency
-            baseline = session.run()
-            pipelined = session.run(pipeline=True)
-            after = session.residency
-        assert baseline.mode == "layer-sync"
-        assert pipelined.mode == "pipelined"
-        assert pipelined.total_stats == baseline.total_stats
-        assert pipelined.checksum == baseline.checksum
-        assert pipelined.energy_uj == baseline.energy_uj
-        assert pipelined.latency_ms == baseline.latency_ms
-        # Synthetic pipelined dispatches stay warm on the resident plan too.
-        assert after.lease_events == deployed.lease_events
-        assert after.reprogram_events == deployed.reprogram_events
-
-
 class TestTeardownSafety:
     def test_close_is_exception_safe(self, tiny_cnn, batches, monkeypatch):
         """unpin always runs, even when the driver teardown raises."""
